@@ -1,10 +1,12 @@
-"""Measurement harness: brute-force optima, ratio measurement, sweeps, reports.
+"""Measurement harness: the batched runner, brute-force optima, reports.
 
 Every producer in this package emits the unified run-record model of
 :mod:`repro.analysis.results`: a :class:`RunRecord` per algorithm x instance
 evaluation, collected into :class:`ResultSet` s with uniform JSON/CSV
-emission — whether the records come from the batched runner, the LP-backed
-ratio harness or an in-process sweep.  Execution is pluggable
+emission.  The batched runner (:mod:`repro.analysis.runner`) is the one
+route to a ratio: :func:`run_experiments` over a declared grid and
+:func:`evaluate_instances` over prebuilt instances both attach the
+certified optimum to every record when asked to.  Execution is pluggable
 (:mod:`repro.analysis.backends`: serial/thread/process with adaptive
 chunking) and persistence is durable (:mod:`repro.analysis.store`: one
 WAL-mode SQLite file holding run records, optimum records and resumable
@@ -22,7 +24,6 @@ from .backends import (
 )
 from .compare import ScheduleDiff, diff_schedules, summarize_result
 from .optimal import BruteForceResult, brute_force_optimal_stall
-from .ratios import AlgorithmMeasurement, RatioReport, measure_parallel_stall, measure_ratios
 from .reporting import (
     format_comparison,
     format_ratio_table,
@@ -33,7 +34,6 @@ from .reporting import (
 from .results import RUN_RECORD_COLUMNS, ResultSet, RunRecord, safe_ratio
 from .runner import (
     ExperimentPoint,
-    ExperimentRun,
     ExperimentSpec,
     evaluate_instances,
     instance_fingerprint,
@@ -42,8 +42,7 @@ from .runner import (
     run_experiments,
     sweep_key_for,
 )
-from .store import ImportReport, RunStore, SweepProgress, store_path_for
-from .sweep import SweepPoint, run_sweep
+from .store import RunStore, SweepProgress, store_path_for
 
 __all__ = [
     "BACKEND_NAMES",
@@ -55,7 +54,6 @@ __all__ = [
     "make_backend",
     "RunStore",
     "SweepProgress",
-    "ImportReport",
     "store_path_for",
     "point_cache_key",
     "prepare_sweep",
@@ -65,7 +63,6 @@ __all__ = [
     "ResultSet",
     "safe_ratio",
     "ExperimentPoint",
-    "ExperimentRun",
     "ExperimentSpec",
     "evaluate_instances",
     "instance_fingerprint",
@@ -75,15 +72,9 @@ __all__ = [
     "summarize_result",
     "BruteForceResult",
     "brute_force_optimal_stall",
-    "AlgorithmMeasurement",
-    "RatioReport",
-    "measure_parallel_stall",
-    "measure_ratios",
     "format_comparison",
     "format_ratio_table",
     "format_report",
     "format_result_set",
     "format_table",
-    "SweepPoint",
-    "run_sweep",
 ]

@@ -3,13 +3,15 @@
 The benchmarks print their results as aligned text tables (the paper has no
 figures to re-plot, so tables are the native output format of every
 experiment).  Only the standard library is used; the helpers accept the
-unified result model (:class:`~repro.analysis.results.ResultSet` /
-:class:`~repro.analysis.ratios.RatioReport`) or plain row dictionaries.
+unified result model (:class:`~repro.analysis.results.ResultSet`) or plain
+row dictionaries.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence
+
+from ..core.bounds import SingleDiskBounds
 
 __all__ = [
     "format_table",
@@ -68,22 +70,38 @@ def format_table(
     return "\n".join(lines)
 
 
-def format_report(report, *, title: Optional[str] = None) -> str:
-    """Render a :class:`~repro.analysis.ratios.RatioReport` as a table."""
-    header = title or f"instance: {report.instance_description}"
+def format_report(results, *, title: str) -> str:
+    """Render one instance's optimum-carrying ResultSet (the compare view).
+
+    Every record of one instance carries the same optimum, so the optimum
+    line is read off the first record; single-disk results also list the
+    Section 2 bounds of their ``(k, F)``.
+    """
+    first = results.records[0]
     lines = [
-        header,
-        f"optimal stall = {report.optimal_stall}, optimal elapsed = {report.optimal_elapsed}",
+        title,
+        f"optimal stall = {first.optimal_stall}, optimal elapsed = {first.optimal_elapsed}",
     ]
-    if report.bounds is not None:
-        b = report.bounds
+    if first.disks == 1:
+        b = SingleDiskBounds(first.cache_size, first.fetch_time)
         lines.append(
             "bounds: aggressive(Thm1)="
             f"{b.aggressive_refined:.3f} (Cao et al. {b.aggressive_cao:.3f}), "
             f"lower(Thm2)={b.aggressive_lower:.3f}, delay(d0={b.best_delay})={b.delay_best:.3f}, "
             f"combination={b.combination:.3f}"
         )
-    lines.append(format_table(report.as_rows()))
+    rows = [
+        {
+            "algorithm": record.algorithm,
+            "stall": record.metrics.stall_time,
+            "elapsed": record.metrics.elapsed_time,
+            "fetches": record.metrics.num_fetches,
+            "elapsed_ratio": round(record.elapsed_ratio, 4),
+            "stall_ratio": round(record.stall_ratio, 4),
+        }
+        for record in results
+    ]
+    lines.append(format_table(rows))
     return "\n".join(lines)
 
 

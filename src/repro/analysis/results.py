@@ -2,11 +2,9 @@
 
 Every experiment in this repository reduces to the same shape of fact: *one
 algorithm spec ran over one problem instance under one engine and produced
-these metrics (and, when an optimum was computed, these ratios)*.
-Historically the runner, the ratio harness and the legacy sweep each encoded
-that fact in their own row-dict dialect, so every new experiment re-invented
-serialization.  This module is the single model they all produce and
-consume:
+these metrics (and, when an optimum was computed, these ratios)*.  This
+module is the single model the runner produces and every report, store
+and benchmark consumes:
 
 * :class:`RunRecord` — one typed record: instance identity (workload spec,
   ``k``/``F``/``D``/layout), algorithm identity (resolved name + portable
@@ -18,8 +16,8 @@ consume:
   scripts use (``metric``, ``ratios_for``, ``max_ratio_for``).
 
 Records round-trip losslessly through :meth:`RunRecord.to_json_dict` /
-:meth:`RunRecord.from_json_dict`; the runner's on-disk point cache and the
-tests' equality round-trips both rely on that.
+:meth:`RunRecord.from_json_dict`; the run store and the tests' equality
+round-trips both rely on that.
 """
 
 from __future__ import annotations
@@ -101,7 +99,7 @@ class RunRecord:
     fetch_time: int = 0
     disks: int = 1
     layout: Optional[str] = None
-    engine: str = "indexed"
+    engine: str = "loop"
     optimal_stall: Optional[int] = None
     optimal_elapsed: Optional[int] = None
     #: Wall-clock seconds the optimum attached to this record cost to solve
@@ -124,7 +122,7 @@ class RunRecord:
         algorithm_spec: Optional[str] = None,
         workload: Optional[str] = None,
         layout: Optional[str] = None,
-        engine: str = "indexed",
+        engine: str = "loop",
         optimal_stall: Optional[int] = None,
         optimal_elapsed: Optional[int] = None,
         optimum_solve_seconds: Optional[float] = None,
@@ -238,7 +236,7 @@ class RunRecord:
             layout=payload.get("layout"),
             algorithm=str(payload["algorithm"]),
             algorithm_spec=str(payload["algorithm_spec"]),
-            engine=str(payload.get("engine", "indexed")),
+            engine=str(payload.get("engine", "loop")),
             metrics=SimMetrics.from_dict(payload["metrics"]),
             optimal_stall=payload.get("optimal_stall"),
             optimal_elapsed=payload.get("optimal_elapsed"),

@@ -1,9 +1,9 @@
 """Batched experiment runner: declarative grids, pluggable backends, durable store.
 
-This is the scale harness the benchmark scripts and the ``repro sweep`` /
-``repro ratios`` commands drive (see DESIGN.md §6/§8).  It replaces the
-serial :func:`repro.analysis.sweep.run_sweep` loop as the way experiments
-are executed:
+This is the one harness every experiment runs through — the benchmark
+scripts and the ``repro sweep`` / ``repro ratios`` / ``repro compare``
+commands alike (see DESIGN.md §6/§8), and the only code that produces
+ratio records:
 
 * **Declarative grids** — an :class:`ExperimentSpec` names workload specs
   (the portable strings of :mod:`repro.workloads.spec`), cache sizes, fetch
@@ -45,8 +45,7 @@ are executed:
 * **Uniform emission** — every point evaluates to one typed
   :class:`~repro.analysis.results.RunRecord`; the run returns them as a
   :class:`~repro.analysis.results.ResultSet` with uniform row/JSON/CSV
-  emission and column selection, the same model the ratio harness and the
-  legacy sweep produce.
+  emission and column selection.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from ..algorithms.registry import canonicalize_algorithm_spec, make_algorithm
 from ..disksim.executor import canonical_engine, simulate_with_engine
 from ..disksim.instance import ProblemInstance
-from ..disksim.vector import numpy_available, require_numpy, run_batch
+from ..disksim.vector import run_batch
 from ..errors import ConfigurationError, PointEvaluationError
 from ..lp.canonical import instance_fingerprint as _canonical_fingerprint
 from ..lp.service import OptimumRecord, OptimumService, SolverConfig
@@ -82,7 +81,6 @@ from .store import RunStore, SweepProgress, store_path_for
 __all__ = [
     "ExperimentSpec",
     "ExperimentPoint",
-    "ExperimentRun",
     "instance_fingerprint",
     "point_cache_key",
     "prepare_sweep",
@@ -139,7 +137,7 @@ class ExperimentSpec:
     def __post_init__(self):
         SolverConfig(method=self.optimum_method)  # validate eagerly
         resolve_backend_name(self.backend, 0)  # reject unknown backends here
-        object.__setattr__(self, "engine", canonical_engine(self.engine))
+        canonical_engine(self.engine)  # reject unknown engines here
         for axis in (
             "workloads", "cache_sizes", "fetch_times", "algorithms",
             "disks", "seeds", "layouts",
@@ -285,13 +283,11 @@ def point_cache_key(point: ExperimentPoint) -> str:
     """Store key of a point: instance identity x canonical algorithm x engine.
 
     The algorithm identity is the *canonical* spec, so ``delay:3`` and
-    ``delay:d=3`` share entries; likewise the engine is canonicalized, so
-    ``engine="indexed"`` and ``engine="loop"`` share entries.
+    ``delay:d=3`` share entries.
     """
     algorithm = canonicalize_algorithm_spec(point.algorithm)
-    engine = canonical_engine(point.engine)
     return hashlib.sha256(
-        f"{_instance_identity(point)};alg={algorithm};engine={engine}".encode()
+        f"{_instance_identity(point)};alg={algorithm};engine={point.engine}".encode()
     ).hexdigest()
 
 
@@ -497,20 +493,13 @@ def _plan_execution_units(pending):
     order and each bucket keeps its items in grid order, so zipping the
     streamed results against the units reproduces the serial order exactly.
     Buckets smaller than :data:`MIN_VECTOR_BATCH` are demoted to per-point
-    tasks, buckets larger than :data:`MAX_VECTOR_BATCH` are chunked.  With
-    numpy unavailable, ``engine="vector"`` points raise
-    :class:`~repro.errors.ConfigurationError` here — before any worker
-    starts — while ``engine="auto"`` points degrade to loop tasks silently.
+    tasks, buckets larger than :data:`MAX_VECTOR_BATCH` are chunked.
     """
-    have_numpy = numpy_available()
     units = []
     buckets: Dict[Tuple[object, ...], List] = {}
     for item in pending:
         _position, point, _key = item
-        engine = canonical_engine(point.engine)
-        if engine == "vector" and not have_numpy:
-            require_numpy()
-        if engine in ("vector", "auto") and have_numpy and _vector_eligible(point):
+        if point.engine in ("vector", "auto") and _vector_eligible(point):
             bucket = _vector_bucket_key(point)
             group = buckets.get(bucket)
             if group is None:
@@ -535,11 +524,6 @@ def _plan_execution_units(pending):
 # ---------------------------------------------------------------------------------
 # execution
 # ---------------------------------------------------------------------------------
-
-#: Backwards-compatible name: runner invocations return the unified
-#: :class:`~repro.analysis.results.ResultSet` model.
-ExperimentRun = ResultSet
-
 
 def _execute_points(
     points: Sequence[ExperimentPoint],
@@ -682,25 +666,13 @@ def _execute_points(
     )
 
 
-def _make_optimum_service(
-    enabled: bool,
-    store: Optional[RunStore],
-    method: str,
-    config: Optional[SolverConfig],
-) -> Optional[OptimumService]:
-    """The optimum service of a run (persisted through the run store)."""
-    if not enabled:
-        return None
-    return OptimumService(config=config or SolverConfig(method=method), store=store)
-
-
-def _solver_key_for(
+def _solver_config_for(
     spec: ExperimentSpec, optimum_config: Optional[SolverConfig]
-) -> Optional[str]:
-    """The solver-configuration key an optimum sweep of ``spec`` runs under."""
+) -> Optional[SolverConfig]:
+    """The solver configuration an optimum sweep of ``spec`` runs under."""
     if not spec.compute_optimum:
         return None
-    return (optimum_config or SolverConfig(method=spec.optimum_method)).key()
+    return optimum_config or SolverConfig(method=spec.optimum_method)
 
 
 def _register_sweep(
@@ -708,14 +680,16 @@ def _register_sweep(
     store: RunStore,
     points: Sequence[ExperimentPoint],
     keys: Sequence[str],
-    solver_key: Optional[str],
+    optimum_config: Optional[SolverConfig],
 ) -> str:
     """Register ``spec``'s manifest (reusing precomputed point keys).
 
     Reconciles the manifest against the stored records (a record counts as
     completion even if the writing run was killed before it could update
-    the manifest) and returns the sweep key.
+    the manifest) and returns the sweep key.  ``optimum_config`` is the
+    solver configuration of an optimum sweep (None otherwise).
     """
+    solver_key = None if optimum_config is None else optimum_config.key()
     sweep_key = sweep_key_for(spec, solver_key)
     store.begin_sweep(
         sweep_key, spec.name,
@@ -740,25 +714,69 @@ def prepare_sweep(
     points = spec.points()
     keys = [point_cache_key(point) for point in points]
     sweep_key = _register_sweep(
-        spec, store, points, keys, _solver_key_for(spec, optimum_config)
+        spec, store, points, keys, _solver_config_for(spec, optimum_config)
     )
     return store.sweep_progress(sweep_key)
 
 
-def _resolve_backend_arg(
-    backend, default_name: str, workers: int
-) -> Tuple[ExecutionBackend, Optional[ExecutionBackend]]:
-    """Resolve a backend argument (name or instance) to ``(backend, owned)``.
+def _run(
+    name: str,
+    points: List[ExperimentPoint],
+    *,
+    workers: int,
+    backend,
+    cache_dir,
+    store: Optional[RunStore],
+    optimum_config: Optional[SolverConfig],
+    spec: Optional[ExperimentSpec] = None,
+) -> ResultSet:
+    """Shared body of :func:`run_experiments` and :func:`evaluate_instances`.
 
-    A caller-provided :class:`ExecutionBackend` instance is used as-is and
-    stays the caller's to close (``owned`` is None) — this is how ``repro
-    coordinator`` threads an already-serving :class:`RemoteBackend` through
-    the runner.  A name builds a backend the runner owns and closes.
+    ``backend`` is a name or a live :class:`ExecutionBackend` instance; a
+    caller-provided instance stays the caller's to close (this is how
+    ``repro coordinator`` threads an already-serving
+    :class:`~repro.analysis.remote.RemoteBackend` through the runner),
+    while a named backend and a store opened from ``cache_dir`` are closed
+    here.  ``optimum_config`` (None: no optimum) attaches every point's
+    optimum; ``spec`` registers its sweep manifest in the store.
     """
     if isinstance(backend, ExecutionBackend):
-        return backend, None
-    owned = make_backend(backend or default_name, workers)
-    return owned, owned
+        backend_obj, owned_backend = backend, None
+    else:
+        backend_obj = owned_backend = make_backend(backend, workers)
+    owned_store = None
+    if store is None and cache_dir is not None:
+        store = owned_store = RunStore(store_path_for(cache_dir))
+    try:
+        optimum = None
+        if optimum_config is not None:
+            optimum = OptimumService(config=optimum_config, store=store)
+        keys = None
+        sweep_key = None
+        if store is not None and spec is not None:
+            keys = [point_cache_key(point) for point in points]
+            sweep_key = _register_sweep(spec, store, points, keys, optimum_config)
+        records, cached_points, optimum_requests = _execute_points(
+            points,
+            backend=backend_obj,
+            store=store,
+            optimum=optimum,
+            sweep_key=sweep_key,
+            keys=keys,
+        )
+        return ResultSet(
+            name=name,
+            records=tuple(records),
+            workers=workers,
+            cached_points=cached_points,
+            backend=backend_obj.name,
+            optimum_requests=optimum_requests,
+        )
+    finally:
+        if owned_backend is not None:
+            owned_backend.close()
+        if owned_store is not None:
+            owned_store.close()
 
 
 def run_experiments(
@@ -782,43 +800,16 @@ def run_experiments(
     manifest, and makes warmed re-runs pure lookups.  ``optimum_config``
     overrides the solver configuration derived from ``spec.optimum_method``.
     """
-    backend_obj, owned_backend = _resolve_backend_arg(backend, spec.backend, workers)
-    owned_store = None
-    if store is None and cache_dir is not None:
-        store = owned_store = RunStore(store_path_for(cache_dir))
-    try:
-        optimum = _make_optimum_service(
-            spec.compute_optimum, store, spec.optimum_method, optimum_config
-        )
-        points = spec.points()
-        keys = None
-        sweep_key = None
-        if store is not None:
-            keys = [point_cache_key(point) for point in points]
-            sweep_key = _register_sweep(
-                spec, store, points, keys, _solver_key_for(spec, optimum_config)
-            )
-        records, cached_points, optimum_requests = _execute_points(
-            points,
-            backend=backend_obj,
-            store=store,
-            optimum=optimum,
-            sweep_key=sweep_key,
-            keys=keys,
-        )
-        return ResultSet(
-            name=spec.name,
-            records=tuple(records),
-            workers=workers,
-            cached_points=cached_points,
-            backend=backend_obj.name,
-            optimum_requests=optimum_requests,
-        )
-    finally:
-        if owned_backend is not None:
-            owned_backend.close()
-        if owned_store is not None:
-            owned_store.close()
+    return _run(
+        spec.name,
+        spec.points(),
+        workers=workers,
+        backend=backend or spec.backend,
+        cache_dir=cache_dir,
+        store=store,
+        optimum_config=_solver_config_for(spec, optimum_config),
+        spec=spec,
+    )
 
 
 def evaluate_instances(
@@ -834,17 +825,23 @@ def evaluate_instances(
     optimum_method: str = "auto",
     optimum_config: Optional[SolverConfig] = None,
 ) -> ResultSet:
-    """Evaluate algorithm specs over prebuilt instances (benchmark entry point).
+    """Evaluate algorithm specs over prebuilt instances.
 
-    The benchmark scripts construct instances programmatically (adversarial
-    families, paper examples) that have no workload-spec form; this runs the
-    same batched machinery over ``(label, instance)`` pairs.  Instances are
-    pickled to the workers on the process backend.  ``compute_optimum=True``
-    attaches every instance's optimum (one deduplicated solve per instance,
-    shared by all algorithms) exactly as in :func:`run_experiments`.  Ad-hoc
-    instance lists declare no sweep manifest, but their records and optima
-    persist in the run store all the same.
+    The entry point for instances without a workload-spec form (adversarial
+    families, paper examples, the instance ``repro compare`` builds): the
+    same batched machinery runs over ``(label, instance)`` pairs, and
+    instances are pickled to the workers on the process backend.
+    ``compute_optimum=True`` attaches every instance's optimum (one
+    deduplicated solve per instance, shared by all algorithms) exactly as
+    in :func:`run_experiments`, which makes this the ratio measurement of a
+    single instance.  Ad-hoc instance lists declare no sweep manifest, but
+    their records and optima persist in the run store all the same.  The
+    engine and the algorithm specs are validated before anything runs.
     """
+    canonical_engine(engine)
+    for algorithm in algorithms:
+        make_algorithm(algorithm)
+    config = optimum_config or SolverConfig(method=optimum_method)
     points = [
         ExperimentPoint(
             algorithm=algorithm,
@@ -858,27 +855,12 @@ def evaluate_instances(
         for label, instance in labeled_instances
         for algorithm in algorithms
     ]
-    backend_obj, owned_backend = _resolve_backend_arg(backend, "auto", workers)
-    owned_store = None
-    if store is None and cache_dir is not None:
-        store = owned_store = RunStore(store_path_for(cache_dir))
-    try:
-        optimum = _make_optimum_service(
-            compute_optimum, store, optimum_method, optimum_config
-        )
-        records, cached_points, optimum_requests = _execute_points(
-            points, backend=backend_obj, store=store, optimum=optimum
-        )
-        return ResultSet(
-            name="ad-hoc",
-            records=tuple(records),
-            workers=workers,
-            cached_points=cached_points,
-            backend=backend_obj.name,
-            optimum_requests=optimum_requests,
-        )
-    finally:
-        if owned_backend is not None:
-            owned_backend.close()
-        if owned_store is not None:
-            owned_store.close()
+    return _run(
+        "ad-hoc",
+        points,
+        workers=workers,
+        backend=backend or "auto",
+        cache_dir=cache_dir,
+        store=store,
+        optimum_config=config if compute_optimum else None,
+    )

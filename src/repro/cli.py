@@ -16,9 +16,8 @@ Commands
                 solved once per instance, dispatched interleaved with the
                 simulations and persisted in the run store
                 (``<cache-dir>/runs.sqlite``).
-``store``     — operate the SQLite run store: ``stats`` (what it holds),
-                ``gc`` (drop finished sweep manifests, compact the file),
-                ``import`` (migrate a legacy per-point JSON cache directory).
+``store``     — operate the SQLite run store: ``stats`` (what it holds) and
+                ``gc`` (drop finished sweep manifests, compact the file).
 ``workloads`` — print the typed workload catalog: every registered spec name,
                 its parameter schema and an example spec, plus the layouts.
 ``algorithms``— print the typed algorithm catalog: every registered algorithm,
@@ -77,14 +76,18 @@ from typing import List, Optional, Sequence
 
 from .algorithms import format_algorithm_catalog, make_algorithm
 from .analysis.backends import BACKEND_NAMES
-from .analysis.ratios import measure_parallel_stall, measure_ratios
 from .analysis.reporting import (
     format_ratio_table,
     format_report,
     format_result_set,
     format_table,
 )
-from .analysis.runner import ExperimentSpec, prepare_sweep, run_experiments
+from .analysis.runner import (
+    ExperimentSpec,
+    evaluate_instances,
+    prepare_sweep,
+    run_experiments,
+)
 from .analysis.store import RunStore, store_path_for
 from .analysis.results import ResultSet
 from .core.bounds import SingleDiskBounds
@@ -145,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=sorted(LAYOUT_BUILDERS),
                        help="block placement when --disks > 1")
 
-    _ENGINE_CHOICES = ["auto", "loop", "indexed", "scan", "vector"]
+    _ENGINE_CHOICES = ["auto", "loop", "scan", "vector"]
 
     p_sim = sub.add_parser("simulate", help="run one algorithm and print metrics")
     add_common(p_sim)
@@ -200,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="execution backend for the grid points "
                        "(auto = serial at workers<=1, process fan-out otherwise)")
         p.add_argument("--engine", default="loop",
-                       choices=["auto", "loop", "indexed", "scan", "vector"],
+                       choices=_ENGINE_CHOICES,
                        help="simulation engine; vector/auto let the planner "
                        "stack same-shape points into batched kernel passes "
                        "(uncovered points fall back to the loop engine)")
@@ -243,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_store = sub.add_parser(
-        "store", help="operate the SQLite run store (stats, gc, import)"
+        "store", help="operate the SQLite run store (stats, gc)"
     )
     store_sub = p_store.add_subparsers(dest="store_command", required=True)
 
@@ -266,14 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
         "gc", help="drop finished sweep manifests and compact the database"
     )
     add_store_location(p_store_gc)
-
-    p_store_import = store_sub.add_parser(
-        "import", help="migrate a legacy per-point JSON cache directory into the store"
-    )
-    p_store_import.add_argument("json_cache_dir",
-                                help="directory of legacy <key>.json result files "
-                                "(with an optional optima/ subdirectory)")
-    add_store_location(p_store_import)
 
     p_wl = sub.add_parser(
         "workloads", help="list the workload catalog and parameter schemas"
@@ -463,19 +458,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     instance = _make_instance(args)
-    algorithms = [make_algorithm(spec) for spec in _split_specs(args.algorithms)]
-    store = (
-        RunStore(store_path_for(args.cache_dir)) if args.cache_dir is not None else None
+    results = evaluate_instances(
+        [(instance.describe(), instance)],
+        _split_specs(args.algorithms),
+        compute_optimum=True,
+        cache_dir=args.cache_dir,
     )
-    try:
-        if instance.num_disks > 1:
-            report = measure_parallel_stall(instance, algorithms, store=store)
-        else:
-            report = measure_ratios(instance, algorithms, store=store)
-    finally:
-        if store is not None:
-            store.close()
-    print(format_report(report))
+    print(format_report(results, title=f"instance: {instance.describe()}"))
     return 0
 
 
@@ -669,7 +658,7 @@ def _store_db_path(args: argparse.Namespace) -> Path:
 
 def _cmd_store(args: argparse.Namespace) -> int:
     path = _store_db_path(args)
-    if args.store_command != "import" and not path.exists():
+    if not path.exists():
         raise ConfigurationError(f"no run store at {path}")
     with RunStore(path) as store:
         if args.store_command == "stats":
@@ -682,16 +671,13 @@ def _cmd_store(args: argparse.Namespace) -> int:
                     json_module.dumps(stats, indent=2, sort_keys=True) + "\n"
                 )
                 print(f"wrote JSON to {args.json_path}")
-        elif args.store_command == "gc":
+        else:  # gc
             outcome = store.gc()
             print(
                 f"removed {outcome['sweeps_removed']} finished sweep manifest(s) "
                 f"({outcome['points_removed']} point rows), reclaimed "
                 f"{outcome['reclaimed_bytes']} bytes"
             )
-        else:  # import
-            report = store.import_json_cache(args.json_cache_dir)
-            print(report.describe())
     return 0
 
 

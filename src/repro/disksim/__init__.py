@@ -31,8 +31,6 @@ from .stream import StreamSequence
 from .vector import (
     BatchOutcome,
     ineligibility_reason,
-    numpy_available,
-    require_numpy,
     run_batch,
     simulate_batch,
     simulate_vector,
@@ -59,8 +57,6 @@ __all__ = [
     "simulate",
     "simulate_with_engine",
     "BatchOutcome",
-    "numpy_available",
-    "require_numpy",
     "run_batch",
     "simulate_batch",
     "simulate_vector",

@@ -94,26 +94,22 @@ class HorizonExhausted(Exception):
     """
 
 _ENGINES = ("loop", "scan", "vector", "auto")
-_ENGINE_ALIASES = {"indexed": "loop"}
 
 
 def canonical_engine(engine: str) -> str:
-    """Resolve an engine name (or alias) to its canonical form.
+    """Validate an engine name and return it.
 
-    ``"loop"`` is the indexed event loop (the historical name ``"indexed"``
-    is accepted as an alias), ``"scan"`` the scan-query reference
-    implementation, ``"vector"`` the numpy struct-of-arrays batch engine and
-    ``"auto"`` picks the fastest applicable engine at run time (vector when
-    numpy is importable and the instance/policy is covered, loop otherwise).
-    Raises :class:`~repro.errors.ConfigurationError` for anything else.
+    ``"loop"`` is the indexed event loop, ``"scan"`` the scan-query
+    reference implementation, ``"vector"`` the numpy struct-of-arrays batch
+    engine and ``"auto"`` picks the fastest applicable engine at run time
+    (vector when the instance/policy is covered, loop otherwise).  Raises
+    :class:`~repro.errors.ConfigurationError` for anything else.
     """
-    name = _ENGINE_ALIASES.get(engine, engine)
-    if name not in _ENGINES:
-        choices = _ENGINES + tuple(_ENGINE_ALIASES)
+    if engine not in _ENGINES:
         raise ConfigurationError(
-            f"unknown engine {engine!r}; expected one of {choices}"
+            f"unknown engine {engine!r}; expected one of {_ENGINES}"
         )
-    return name
+    return engine
 
 
 @dataclass(frozen=True)
@@ -920,13 +916,12 @@ def simulate(
     produces a feasible schedule; such fetches are counted in
     ``metrics.num_demand_fetches``.
 
-    ``engine`` selects the implementation: ``"loop"`` (default; historical
-    alias ``"indexed"``) runs the event loop over the precomputed
+    ``engine`` selects the implementation: ``"loop"`` (default) runs the event loop over the precomputed
     :class:`SequenceIndex`/:class:`EvictionHeap`; ``"scan"`` re-derives every
     query by scanning the sequence, exactly as the seed engine did;
     ``"vector"`` runs the numpy struct-of-arrays kernel of
-    :mod:`repro.disksim.vector` (requires the ``[vector]`` extra, falls back
-    to the loop for instances/policies it does not cover); ``"auto"`` is
+    :mod:`repro.disksim.vector` (falling back to the loop for
+    instances/policies it does not cover); ``"auto"`` is
     vector-when-possible, loop otherwise.  All engines produce identical
     schedules and metrics — the equivalence suites assert this.
     """
@@ -948,21 +943,17 @@ def simulate_with_engine(
     runner's :class:`~repro.analysis.results.RunRecord`) need the realised
     engine, not the requested one, because ``"vector"`` silently falls back
     to the loop for uncovered instances/policies and ``"auto"`` resolves at
-    run time.  ``engine="vector"`` raises
-    :class:`~repro.errors.ConfigurationError` when numpy is not importable;
-    ``engine="auto"`` degrades to the loop silently.
+    run time.  A fallback records why the kernel could not run in the
+    result's ``engine_reason``.
     """
     engine = canonical_engine(engine)
     reason: Optional[str] = None
     if engine in ("vector", "auto"):
         from . import vector as _vector
 
-        if engine == "vector":
-            _vector.require_numpy()
-        if _vector.numpy_available():
-            result = _vector.simulate_vector(instance, policy)
-            if result is not None:
-                return result, "vector"
+        result = _vector.simulate_vector(instance, policy)
+        if result is not None:
+            return result, "vector"
         reason = _vector.ineligibility_reason(instance, policy)
         engine = "loop"
     from .stepped import SteppedSimulation

@@ -25,18 +25,14 @@ loop engine, per item, inside :func:`run_batch`.  The produced
 (the vector equivalence suite asserts this byte-for-byte); only the
 :class:`~repro.disksim.events.EventLog` is left empty, as materialising one
 Python event object per serve would defeat the point of the kernel.
-
-numpy is an *optional* dependency for this engine: :func:`numpy_available`
-probes for it once, and :func:`require_numpy` raises a
-:class:`~repro.errors.ConfigurationError` naming the ``[vector]`` extra when
-it is missing, so a sweep configured with ``engine="vector"`` fails at
-validation time instead of with an ImportError mid-run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple, Union
+
+import numpy
 
 from .._typing import BlockId
 from ..errors import ConfigurationError
@@ -51,46 +47,15 @@ if TYPE_CHECKING:  # imported lazily at runtime (executor imports this module)
 __all__ = [
     "BatchOutcome",
     "ineligibility_reason",
-    "numpy_available",
-    "require_numpy",
     "run_batch",
     "simulate_batch",
     "simulate_vector",
 ]
 
-_np = None
-_np_checked = False
-
-
-def _numpy() -> Any:
-    """The numpy module, or ``None`` when it is not installed (probed once)."""
-    global _np, _np_checked
-    if not _np_checked:
-        _np_checked = True
-        try:
-            import numpy  # noqa: PLC0415 - optional dependency, probed lazily
-
-            _np = numpy
-        except ImportError:  # pragma: no cover - exercised via monkeypatch
-            _np = None
-    return _np
-
-
-def numpy_available() -> bool:
-    """Whether the vector engine can run (numpy importable)."""
-    return _numpy() is not None
-
-
-def require_numpy() -> Any:
-    """Return numpy or raise a ConfigurationError naming the missing extra."""
-    np = _numpy()
-    if np is None:
-        raise ConfigurationError(
-            'engine="vector" requires numpy, which is not installed; '
-            "install the optional extra: pip install albers-buettner-repro[vector] "
-            '(or use engine="auto" to fall back to the loop engine silently)'
-        )
-    return np
+#: The kernel's numpy handle, typed ``Any`` on purpose: the dense array code
+#: is checked against the loop engine by the vector equivalence suite, not
+#: against numpy's shape-generic stubs.
+np: Any = numpy
 
 
 @dataclass(frozen=True)
@@ -153,8 +118,6 @@ def ineligibility_reason(instance: ProblemInstance, policy: Any) -> Optional[str
     :class:`~repro.disksim.executor.SimulationResult` — costs one plan
     resolution and, at worst, one instance encoding.
     """
-    if not numpy_available():
-        return "numpy not importable"
     if instance.num_disks != 1:
         return "parallel-disk instance"
     if instance.num_requests == 0:
@@ -196,7 +159,7 @@ class BatchOutcome:
 
 
 def _run_kernel(
-    np: Any, jobs: Sequence[_Job], want_schedules: bool
+    jobs: Sequence[_Job], want_schedules: bool
 ) -> List[Tuple[SimMetrics, Optional[Schedule]]]:
     """Advance all ``jobs`` to completion in fused batched array steps.
 
@@ -549,9 +512,8 @@ def run_batch(
     outcomes: List[Optional[BatchOutcome]] = [None] * len(pairs)
     jobs: List[_Job] = []
     job_slots: List[int] = []
-    np = _numpy()
     for slot, (instance, policy) in enumerate(pairs):
-        job = _prepare_job(instance, policy) if np is not None else None
+        job = _prepare_job(instance, policy)
         if job is not None:
             jobs.append(job)
             job_slots.append(slot)
@@ -565,7 +527,7 @@ def run_batch(
             )
     if jobs:
         for slot, job, (metrics, schedule) in zip(
-            job_slots, jobs, _run_kernel(np, jobs, schedules)
+            job_slots, jobs, _run_kernel(jobs, schedules)
         ):
             outcomes[slot] = BatchOutcome(
                 metrics=metrics,
@@ -618,15 +580,12 @@ def simulate_vector(
     a duplicate simulation.  The returned result carries an *empty* event
     log; schedule and metrics are identical to the loop engine's.
     """
-    np = _numpy()
-    if np is None:
-        return None
     job = _prepare_job(instance, policy)
     if job is None:
         return None
     from .executor import SimulationResult
 
-    ((metrics, schedule),) = _run_kernel(np, [job], want_schedules=True)
+    ((metrics, schedule),) = _run_kernel([job], want_schedules=True)
     return SimulationResult(
         instance=instance,
         schedule=schedule,

@@ -10,9 +10,10 @@ outcome against the offline batch run.
 
 The layering mirrors the rest of the repository: ``session.py`` and
 ``daemon.py`` are pure library code with no I/O besides the recorder file,
-``server.py`` and ``coordinator.py`` are the only modules that own sockets
-(and the only ones allowed a pragma-justified wall-clock read, for /health
-uptime), and ``replay.py`` closes the loop back to the workload registry.
+``server.py`` and ``coordinator.py`` are the only modules that own sockets,
+both on the shared JSON scaffold of ``jsonhttp.py`` (the only module
+allowed a pragma-justified wall-clock read, for /health uptime), and
+``replay.py`` closes the loop back to the workload registry.
 
 ``coordinator.py`` belongs to the *distributed sweep* fabric rather than the
 prefetch daemon: it is the chunk-lease ledger behind

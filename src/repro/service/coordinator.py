@@ -3,10 +3,10 @@
 The remote execution backend (:mod:`repro.analysis.remote`) fans a grid's
 tasks out to pull-based worker processes.  This module is the server half:
 a :class:`SweepCoordinator` ledger that hands out *leases* on task chunks
-and collects their results, plus a stdlib ``ThreadingHTTPServer`` front end
-(the same pattern as :mod:`repro.service.server` — JSON in, JSON out, all
-state serialised behind the ledger's own lock so handler threads stay
-naive).
+and collects their results, plus an HTTP front end on the JSON scaffold it
+shares with :mod:`repro.service.server` (:mod:`repro.service.jsonhttp` —
+JSON in, JSON out, all state serialised behind the ledger's own lock so
+handler threads stay naive).
 
 Lease lifecycle
 ---------------
@@ -46,15 +46,14 @@ from __future__ import annotations
 
 import base64
 import itertools
-import json
 import os
 import threading
 import time
-from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, CoordinatorShutdown
+from .jsonhttp import JSONHTTPServer, JSONRequestHandler, int_field
 
 __all__ = [
     "SweepCoordinator",
@@ -335,108 +334,64 @@ class SweepCoordinator:
             }
 
 
-class CoordinatorHTTPServer(ThreadingHTTPServer):
+class CoordinatorHTTPServer(JSONHTTPServer):
     """Threaded HTTP server bound to one :class:`SweepCoordinator`."""
-
-    daemon_threads = True
 
     def __init__(self, address: Tuple[str, int], coordinator: SweepCoordinator) -> None:
         super().__init__(address, _Handler)
         self.coordinator = coordinator
-        self.started_unix = time.time()  # repro: allow(determinism-clock) -- /health uptime metadata, not result state
 
 
-class _Handler(BaseHTTPRequestHandler):
+class _Handler(JSONRequestHandler):
     """Request handler translating the worker protocol onto the ledger."""
 
     server_version = "repro-coordinator/1"
-    protocol_version = "HTTP/1.1"
     server: CoordinatorHTTPServer
 
-    # The default handler logs every request with a wall-clock timestamp to
-    # stderr; the coordinator's /status endpoint is the observability surface.
-    def log_message(self, format: str, *args: Any) -> None:
-        pass
-
-    def _send_json(self, code: int, payload: Dict[str, Any]) -> None:
-        body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _read_body(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
-        if not raw:
-            return {}
-        try:
-            payload = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ConfigurationError(f"request body is not valid JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ConfigurationError("request body must be a JSON object")
-        return payload
-
-    def _handle(self, method: str) -> None:
-        try:
-            payload = self._route(method, self.path)
-        except ConfigurationError as exc:
-            self._send_json(400, {"error": str(exc)})
-        else:
-            if payload is None:
-                self._send_json(404, {"error": f"no route for {method} {self.path}"})
-            else:
-                self._send_json(200, payload)
-
-    def _route(self, method: str, path: str) -> Optional[Dict[str, Any]]:
+    def route(
+        self, method: str, path: str, query: Dict[str, Any]
+    ) -> Optional[Tuple[int, Dict[str, Any]]]:
+        """Map one worker-protocol request onto the ledger."""
         coordinator = self.server.coordinator
         if method == "GET":
             if path == "/health":
-                uptime = time.time() - self.server.started_unix  # repro: allow(determinism-clock) -- /health uptime metadata, not result state
-                return {
+                return 200, {
                     "ok": True,
                     "state": coordinator.status()["state"],
-                    "uptime_seconds": round(uptime, 3),
+                    "uptime_seconds": self.server.uptime_seconds(),
                 }
             if path == "/status":
-                return coordinator.status()
+                return 200, coordinator.status()
             return None
         if method == "POST":
-            body = self._read_body()
+            body = self.read_body()
             worker = str(body.get("worker", "anonymous"))
             if path == "/lease":
-                return coordinator.lease(worker)
+                return 200, coordinator.lease(worker)
             if path == "/heartbeat":
-                return coordinator.heartbeat(
+                return 200, coordinator.heartbeat(
                     worker,
-                    int(body.get("chunk", -1)),
+                    int_field("chunk", body.get("chunk", -1)),
                     str(body.get("lease", "")),
                     str(body.get("run", "")),
                 )
             if path == "/complete":
+                chunk = int_field("chunk", body.get("chunk", -1))
                 try:
                     payload = base64.b64decode(str(body.get("payload", "")))
                 except (ValueError, TypeError) as exc:
                     raise ConfigurationError(
                         f"completion payload is not valid base64: {exc}"
                     ) from exc
-                return coordinator.complete_chunk(
+                return 200, coordinator.complete_chunk(
                     worker,
-                    int(body.get("chunk", -1)),
+                    chunk,
                     str(body.get("lease", "")),
                     str(body.get("run", "")),
                     payload,
                 )
             return None
         return None
-
-    def do_GET(self) -> None:
-        self._handle("GET")
-
-    def do_POST(self) -> None:
-        self._handle("POST")
 
 
 def make_coordinator_server(

@@ -2,9 +2,9 @@
 
 The transport layer, and nothing else: JSON in, JSON out, with every
 decision routed through :class:`~repro.service.daemon.PrefetchService`.
-Built on ``http.server.ThreadingHTTPServer`` so the daemon needs no
-third-party dependency; concurrency is serialised inside the service's own
-lock, so handler threads can be naive.
+Built on the stdlib JSON scaffold of :mod:`repro.service.jsonhttp` so the
+daemon needs no third-party dependency; concurrency is serialised inside
+the service's own lock, so handler threads can be naive.
 
 Routes
 ------
@@ -20,70 +20,40 @@ Routes
 ``GET  /sessions``                    all session summaries
 ``GET  /health``                      liveness probe (session count, uptime)
 
-This module is the only place in :mod:`repro.service` allowed to read the
-wall clock (the ``/health`` uptime field), pragma-justified below; result
-state never touches it.
+The ``/health`` uptime is the only wall-clock read, pragma-justified in
+:mod:`repro.service.jsonhttp`; result state never touches it.
 """
 
 from __future__ import annotations
 
-import json
-import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
-from urllib.parse import parse_qs, urlparse
 
 from ..errors import ConfigurationError, ReproError
 from .daemon import PrefetchService
+from .jsonhttp import JSONHTTPServer, JSONRequestHandler, int_field
 
 __all__ = ["PrefetchHTTPServer", "make_server"]
 
 
-class PrefetchHTTPServer(ThreadingHTTPServer):
+class PrefetchHTTPServer(JSONHTTPServer):
     """Threaded HTTP server bound to one :class:`PrefetchService`."""
-
-    daemon_threads = True
 
     def __init__(self, address: Tuple[str, int], service: PrefetchService) -> None:
         super().__init__(address, _Handler)
         self.service = service
-        self.started_unix = time.time()  # repro: allow(determinism-clock) -- /health uptime metadata, not result state
 
 
-class _Handler(BaseHTTPRequestHandler):
+class _Handler(JSONRequestHandler):
     """Request handler translating the JSON surface onto the service."""
 
     server_version = "repro-prefetch/1"
-    protocol_version = "HTTP/1.1"
     server: PrefetchHTTPServer
 
-    # The default handler logs every request with a wall-clock timestamp to
-    # stderr; the service journals sessions deterministically instead.
-    def log_message(self, format: str, *args: Any) -> None:
-        pass
-
-    # -- plumbing ----------------------------------------------------------------
-
-    def _send_json(self, code: int, payload: Dict[str, Any]) -> None:
-        body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _read_body(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
-        if not raw:
-            return {}
-        try:
-            payload = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ConfigurationError(f"request body is not valid JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ConfigurationError("request body must be a JSON object")
-        return payload
+    def error_status(self, exc: ReproError) -> int:
+        """404 for an unknown session, 400 for every other bad request."""
+        if isinstance(exc, ConfigurationError) and "unknown session" in str(exc):
+            return 404
+        return 400
 
     def _session_route(self, path: str) -> Tuple[Optional[str], Optional[str]]:
         """Split ``/session/<id>[/<verb>]`` into (session_id, verb)."""
@@ -92,53 +62,35 @@ class _Handler(BaseHTTPRequestHandler):
             return parts[1], parts[2] if len(parts) > 2 else None
         return None, None
 
-    def _handle(self, method: str) -> None:
-        url = urlparse(self.path)
-        try:
-            payload = self._route(method, url.path, parse_qs(url.query))
-        except ConfigurationError as exc:
-            code = 404 if "unknown session" in str(exc) else 400
-            self._send_json(code, {"error": str(exc)})
-        except ReproError as exc:
-            self._send_json(400, {"error": str(exc)})
-        else:
-            if payload is None:
-                self._send_json(404, {"error": f"no route for {method} {url.path}"})
-            else:
-                code, body = payload
-                self._send_json(code, body)
-
-    # -- routing -----------------------------------------------------------------
-
-    def _route(
+    def route(
         self, method: str, path: str, query: Dict[str, Any]
     ) -> Optional[Tuple[int, Dict[str, Any]]]:
+        """Map one request onto the :class:`PrefetchService` surface."""
         service = self.server.service
         session_id, verb = self._session_route(path)
         if method == "GET":
             if path == "/health":
-                uptime = time.time() - self.server.started_unix  # repro: allow(determinism-clock) -- /health uptime metadata, not result state
                 return 200, {
                     "ok": True,
                     "sessions": len(service.session_ids),
-                    "uptime_seconds": round(uptime, 3),
+                    "uptime_seconds": self.server.uptime_seconds(),
                 }
             if path == "/sessions":
                 return 200, {"sessions": service.describe()}
             if session_id is not None and verb == "plan":
                 limit_values = query.get("limit")
-                limit = int(limit_values[0]) if limit_values else None
+                limit = int_field("limit", limit_values[0]) if limit_values else None
                 return 200, service.plan(session_id, limit)
             if session_id is not None and verb is None:
                 return 200, service.get(session_id).describe()
             return None
         if method == "POST":
-            body = self._read_body()
+            body = self.read_body()
             if path == "/session":
                 session = service.create_session(
                     str(body.get("algorithm", "aggressive")),
-                    cache_size=int(body.get("cache_size", 16)),
-                    fetch_time=int(body.get("fetch_time", 8)),
+                    cache_size=int_field("cache_size", body.get("cache_size", 16)),
+                    fetch_time=int_field("fetch_time", body.get("fetch_time", 8)),
                     initial_cache=body.get("initial_cache", ()),
                 )
                 return 201, session.describe()
@@ -151,12 +103,6 @@ class _Handler(BaseHTTPRequestHandler):
                 return 200, service.feed(session_id, requests)
             return None
         return None
-
-    def do_GET(self) -> None:
-        self._handle("GET")
-
-    def do_POST(self) -> None:
-        self._handle("POST")
 
 
 def make_server(

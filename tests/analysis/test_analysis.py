@@ -1,20 +1,17 @@
-"""Tests for the analysis harness: brute force, ratios, sweeps, reporting, diffs."""
+"""Tests for the analysis harness: brute force, ratios, reporting, diffs."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.algorithms import Aggressive, Conservative, DemandFetch
+from repro.algorithms import Aggressive, Conservative
 from repro.analysis import (
-    SweepPoint,
     brute_force_optimal_stall,
     diff_schedules,
+    evaluate_instances,
     format_comparison,
     format_report,
     format_table,
-    measure_parallel_stall,
-    measure_ratios,
-    run_sweep,
     summarize_result,
 )
 from repro.disksim import DiskLayout, ProblemInstance, RequestSequence, simulate
@@ -56,63 +53,43 @@ class TestBruteForce:
             brute_force_optimal_stall(instance)
 
 
+def _ratios(instance, algorithms, label="paper"):
+    return evaluate_instances([(label, instance)], algorithms, compute_optimum=True)
+
+
 class TestRatios:
-    def test_measure_ratios_single_disk(self):
-        report = measure_ratios(single_disk_example(), [Aggressive(), Conservative()])
-        assert report.optimal_elapsed == 11
-        aggressive = report.measurement("aggressive")
-        assert aggressive.elapsed_time == 13
+    def test_single_disk_ratios(self):
+        results = _ratios(single_disk_example(), ["aggressive", "conservative"])
+        assert {r.optimal_elapsed for r in results} == {11}
+        (aggressive,) = results.for_algorithm("aggressive")
+        assert aggressive.metrics.elapsed_time == 13
         assert aggressive.elapsed_ratio == pytest.approx(13 / 11)
-        assert report.worst_elapsed_ratio() >= aggressive.elapsed_ratio
-        assert report.bounds is not None
-        rows = report.as_rows()
-        assert {row["algorithm"] for row in rows} == {"aggressive", "conservative"}
+        assert results.max_ratio_for("conservative") >= 1.0
+        assert [r.algorithm for r in results] == ["aggressive", "conservative"]
 
-    def test_measure_ratios_accepts_precomputed_optimum(self):
-        report = measure_ratios(
-            single_disk_example(), [Aggressive()], optimal_elapsed=11, optimal_stall=1
+    def test_parallel_stall_ratios(self):
+        results = _ratios(parallel_disk_example(), ["parallel-aggressive"])
+        (record,) = results.records
+        assert record.disks == 2
+        assert record.metrics.stall_time >= record.optimal_stall
+        assert record.stall_ratio >= 1.0
+
+    def test_one_solve_per_instance_across_labels(self):
+        results = evaluate_instances(
+            [("a", single_disk_example()), ("b", single_disk_example())],
+            ["aggressive", "demand"],
+            compute_optimum=True,
         )
-        assert report.optimal_elapsed == 11
-
-    def test_measure_ratios_rejects_parallel(self):
-        with pytest.raises(ConfigurationError):
-            measure_ratios(parallel_disk_example(), [Aggressive()])
-
-    def test_measure_parallel_stall(self):
-        from repro.algorithms import ParallelAggressive
-
-        report = measure_parallel_stall(parallel_disk_example(), [ParallelAggressive()])
-        measurement = report.measurement("parallel-aggressive")
-        assert measurement.stall_time >= report.optimal_stall
-        assert report.bounds is None
-
-    def test_unknown_algorithm_lookup(self):
-        report = measure_ratios(single_disk_example(), [Aggressive()])
-        with pytest.raises(KeyError):
-            report.measurement("nope")
-
-
-class TestSweep:
-    def test_run_sweep_collects_records(self):
-        points = [
-            SweepPoint(label="paper", instance=single_disk_example()),
-            SweepPoint(
-                label="precomputed",
-                instance=single_disk_example(),
-                optimal_elapsed=11,
-                optimal_stall=1,
-            ),
+        assert results.optimum_requests == 1
+        assert [r.point for r in results] == [
+            "a alg=aggressive", "a alg=demand", "b alg=aggressive", "b alg=demand",
         ]
-        result = run_sweep(points, lambda: [Aggressive(), DemandFetch()])
-        assert result.points() == ["paper", "paper", "precomputed", "precomputed"]
-        ratios = result.ratios_for("aggressive")
-        assert ratios["paper"] == pytest.approx(13 / 11)
-        assert result.max_ratio_for("aggressive") >= 1.0
-        rows = result.as_rows()
-        assert len(rows) == 4  # 2 points x 2 algorithms
-        # Every record carries the per-point optimum alongside the metrics.
-        assert {row["optimal_elapsed"] for row in rows} == {11}
-        assert {r.algorithm for r in result.for_algorithm("aggressive")} == {"aggressive"}
+        assert results.ratios_for("aggressive")["a alg=aggressive"] == pytest.approx(13 / 11)
+        assert {row["optimal_elapsed"] for row in results.as_rows()} == {11}
+
+    def test_unknown_algorithm_fails_before_running(self):
+        with pytest.raises(ConfigurationError):
+            _ratios(single_disk_example(), ["aggressive", "nope"])
 
 
 class TestReporting:
@@ -129,11 +106,18 @@ class TestReporting:
         assert "(no rows)" in format_table([], title="empty")
 
     def test_format_report_includes_bounds(self):
-        report = measure_ratios(single_disk_example(), [Aggressive()])
-        text = format_report(report)
+        text = format_report(_ratios(single_disk_example(), ["aggressive"]), title="paper")
+        assert text.splitlines()[0] == "paper"
         assert "optimal stall = 1" in text
         assert "aggressive" in text
         assert "Thm1" in text
+
+    def test_format_report_omits_bounds_on_parallel_disks(self):
+        text = format_report(
+            _ratios(parallel_disk_example(), ["parallel-aggressive"]), title="parallel"
+        )
+        assert "parallel-aggressive" in text
+        assert "Thm1" not in text
 
     def test_format_comparison(self):
         text = format_comparison(

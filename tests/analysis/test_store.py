@@ -1,4 +1,4 @@
-"""Tests for the SQLite run store: persistence, manifest, migration, concurrency."""
+"""Tests for the SQLite run store: persistence, manifest, concurrency."""
 
 from __future__ import annotations
 
@@ -55,7 +55,7 @@ def _record(**overrides) -> RunRecord:
 
 
 #: Hypothesis strategy over structurally valid run records (identity fields,
-#: metrics, optional optimum) for the migration property test.
+#: metrics, optional optimum) for the byte-for-byte persistence property.
 _records = st.builds(
     _record,
     point=st.text(min_size=1, max_size=20),
@@ -87,6 +87,21 @@ class TestRunPersistence:
             assert store.get_run("k1") == record
             assert store.get_run("missing") is None
             assert store.count_runs() == 1
+
+    @settings(max_examples=25, deadline=None)
+    @given(records=st.lists(_records, min_size=1, max_size=6))
+    def test_stored_records_keep_their_bytes(self, tmp_path_factory, records):
+        """Property: a stored record re-serializes to the bytes it was put as."""
+        directory = tmp_path_factory.mktemp("bytes")
+        expected = {
+            f"key{index}": json.dumps(record.to_json_dict(), sort_keys=True)
+            for index, record in enumerate(records)
+        }
+        with RunStore(directory / "runs.sqlite") as store:
+            store.put_runs((f"key{index}", record) for index, record in enumerate(records))
+            for key, payload in expected.items():
+                stored = store.get_run(key)
+                assert json.dumps(stored.to_json_dict(), sort_keys=True) == payload
 
     def test_upsert_replaces(self, tmp_path):
         with RunStore(tmp_path / "s.sqlite") as store:
@@ -144,106 +159,8 @@ class TestRunPersistence:
             assert store.count_optima() == 1
 
 
-class TestMigration:
-    @settings(max_examples=25, deadline=None)
-    @given(records=st.lists(_records, min_size=1, max_size=6))
-    def test_json_cache_import_preserves_records_byte_for_byte(
-        self, tmp_path_factory, records
-    ):
-        """Property: legacy JSON cache -> SQLite keeps every record intact.
-
-        The legacy cache wrote ``json.dumps(record.to_json_dict(),
-        sort_keys=True)`` per point; after import, re-serializing the stored
-        record must reproduce those bytes exactly.
-        """
-        directory = tmp_path_factory.mktemp("legacy")
-        expected = {}
-        for index, record in enumerate(records):
-            key = f"key{index}"
-            payload = json.dumps(record.to_json_dict(), sort_keys=True)
-            (directory / f"{key}.json").write_text(payload)
-            expected[key] = payload
-        with RunStore(directory / "runs.sqlite") as store:
-            report = store.import_json_cache(directory)
-            assert report.runs == len(records) and report.skipped == 0
-            for key, payload in expected.items():
-                stored = store.get_run(key)
-                assert json.dumps(stored.to_json_dict(), sort_keys=True) == payload
-
-    def test_import_covers_optima_and_skips_garbage(self, tmp_path):
-        (tmp_path / "good.json").write_text(
-            json.dumps(_record().to_json_dict(), sort_keys=True)
-        )
-        (tmp_path / "bad.json").write_text("{torn")
-        optima = tmp_path / "optima"
-        optima.mkdir()
-        optimum = OptimumRecord(
-            fingerprint="fp", stall_time=0, elapsed_time=10, lp_lower_bound=10.0,
-            method_used="single-disk-exact", solve_seconds=0.2, solver_key="sk",
-        )
-        (optima / "fp.json").write_text(json.dumps(optimum.as_json_dict(), sort_keys=True))
-        (optima / "torn.json").write_text("")
-        with RunStore(tmp_path / "runs.sqlite") as store:
-            report = store.import_json_cache(tmp_path)
-            assert (report.runs, report.optima, report.skipped) == (1, 1, 2)
-            assert store.get_optimum("fp") == optimum
-            assert "imported 1 run record" in report.describe()
-
-    def test_imported_cache_feeds_a_sweep_without_resimulation(self, tmp_path):
-        """End-to-end migration: a legacy-format cache warms a new-style run."""
-        spec = _spec(cache_sizes=(4,), seeds=(0,), algorithms=("aggressive",))
-        legacy = tmp_path / "legacy"
-        legacy.mkdir()
-        baseline = run_experiments(spec)
-        for point, record in zip(spec.points(), baseline.records):
-            (legacy / f"{point_cache_key(point)}.json").write_text(
-                json.dumps(record.to_json_dict(), sort_keys=True)
-            )
-        cache_dir = tmp_path / "cache"
-        with RunStore(store_path_for(cache_dir)) as store:
-            store.import_json_cache(legacy)
-        rerun = run_experiments(spec, cache_dir=cache_dir)
-        assert rerun.cached_points == len(rerun.records)
-        assert rerun.to_json() == baseline.to_json()
-
-
 class TestEngineColumn:
-    def test_legacy_indexed_rows_migrate_to_loop_on_reopen(self, tmp_path):
-        """Rows stored under the legacy ``'indexed'`` label backfill to ``'loop'``.
-
-        Both the indexed column and the JSON body are rewritten, and the
-        stored bytes stay canonical (sorted-key dump of the record).
-        """
-        path = tmp_path / "s.sqlite"
-        with RunStore(path) as store:
-            store.put_run("k", _record(engine="indexed"))
-        with RunStore(path) as store:
-            record = store.get_run("k")
-            assert record.engine == "loop"
-            engine, body = store._conn.execute(
-                "SELECT engine, record FROM runs WHERE key = 'k'"
-            ).fetchone()
-            assert engine == "loop"
-            assert json.loads(body)["engine"] == "loop"
-            assert json.dumps(record.to_json_dict(), sort_keys=True) == body
-            # Idempotent: a third open finds nothing left to migrate.
-        with RunStore(path) as store:
-            assert store.get_run("k").engine == "loop"
-
-    def test_migration_leaves_corrupt_bodies_alone(self, tmp_path):
-        path = tmp_path / "s.sqlite"
-        with RunStore(path) as store:
-            store.put_run("k", _record(engine="indexed"))
-            with store._conn:
-                store._conn.execute("UPDATE runs SET record = '{torn'")
-        with RunStore(path) as store:
-            engine, body = store._conn.execute(
-                "SELECT engine, record FROM runs WHERE key = 'k'"
-            ).fetchone()
-            assert engine == "loop" and body == "{torn"
-            assert store.get_run("k") is None  # still a cache miss
-
-    def test_query_runs_engine_filter_and_alias(self, tmp_path):
+    def test_query_runs_engine_filter(self, tmp_path):
         from repro.errors import ConfigurationError
 
         with RunStore(tmp_path / "s.sqlite") as store:
@@ -256,8 +173,6 @@ class TestEngineColumn:
             )
             assert len(store.query_runs(engine="loop")) == 1
             assert len(store.query_runs(engine="vector")) == 2
-            # The legacy alias addresses the canonical rows.
-            assert len(store.query_runs(engine="indexed")) == 1
             with pytest.raises(ConfigurationError, match="unknown engine"):
                 store.query_runs(engine="warp")
 
@@ -269,18 +184,12 @@ class TestEngineColumn:
                     ("a", _record(engine="loop")),
                     ("b", _record(engine="vector")),
                     ("c", _record(engine="vector")),
-                    ("d", _record(engine="indexed")),
                 ]
             )
             stats = store.stats()
             assert stats["runs_engine_loop"] == 1
             assert stats["runs_engine_vector"] == 2
-            assert stats["runs_engine_indexed"] == 1  # written post-open
-        with RunStore(path) as store:  # ... and folded in at the next open
-            stats = store.stats()
-            assert stats["runs_engine_loop"] == 2
-            assert stats["runs_engine_vector"] == 2
-            assert "runs_engine_indexed" not in stats
+            assert "runs_engine_scan" not in stats
 
 
 class TestSweepManifest:

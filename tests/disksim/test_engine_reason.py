@@ -8,11 +8,9 @@ silently ran 10x slower than expected is diagnosable from the debug log.
 
 from __future__ import annotations
 
-import pytest
-
 from helpers import random_instance
 from repro.algorithms import make_algorithm
-from repro.disksim import ineligibility_reason, numpy_available, simulate_with_engine
+from repro.disksim import ineligibility_reason, simulate_with_engine
 
 
 def test_loop_engine_sets_no_reason():
@@ -29,14 +27,9 @@ def test_auto_on_parallel_instance_reports_reason():
         instance, make_algorithm("parallel-aggressive"), engine="auto"
     )
     assert engine == "loop"
-    assert result.engine_reason is not None
-    if numpy_available():
-        assert result.engine_reason == "parallel-disk instance"
-    else:
-        assert result.engine_reason == "numpy not importable"
+    assert result.engine_reason == "parallel-disk instance"
 
 
-@pytest.mark.skipif(not numpy_available(), reason="needs numpy")
 def test_ineligibility_reason_matches_plan_coverage():
     instance = random_instance(0)
     # Conservative has no vector kernel plan; Aggressive does.
@@ -51,7 +44,6 @@ def test_ineligibility_reason_matches_plan_coverage():
     )
 
 
-@pytest.mark.skipif(not numpy_available(), reason="needs numpy")
 def test_vector_covered_run_sets_no_reason():
     instance = random_instance(0)
     result, engine = simulate_with_engine(

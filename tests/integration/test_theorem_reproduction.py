@@ -18,8 +18,9 @@ from repro.algorithms import (
     DemandFetch,
     ParallelAggressive,
 )
-from repro.analysis import brute_force_optimal_stall, measure_ratios
+from repro.analysis import brute_force_optimal_stall, evaluate_instances
 from repro.core.bounds import (
+    SingleDiskBounds,
     aggressive_bound_refined,
     best_delay_parameter,
     combination_bound,
@@ -148,11 +149,13 @@ class TestE8ParallelBaselines:
 
 
 class TestRatioHarnessEndToEnd:
-    def test_measure_ratios_reports_bounds_next_to_measurements(self):
-        report = measure_ratios(
-            single_disk_example(),
-            [Aggressive(), Conservative(), Combination(), DemandFetch()],
+    def test_runner_ratios_stay_within_the_bounds(self):
+        instance = single_disk_example()
+        results = evaluate_instances(
+            [("paper", instance)],
+            ["aggressive", "conservative", "combination", "demand"],
+            compute_optimum=True,
         )
-        assert report.bounds is not None
-        assert report.measurement("aggressive").elapsed_ratio <= report.bounds.aggressive_refined
-        assert report.measurement("conservative").elapsed_ratio <= 2.0
+        bounds = SingleDiskBounds(instance.cache_size, instance.fetch_time)
+        assert results.max_ratio_for("aggressive") <= bounds.aggressive_refined
+        assert results.max_ratio_for("conservative") <= 2.0

@@ -8,6 +8,7 @@ sees it.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import threading
 import urllib.error
@@ -17,15 +18,18 @@ import pytest
 
 from repro.algorithms import make_algorithm
 from repro.disksim.executor import simulate
-from repro.service import PrefetchService, make_server
+from repro.service import (
+    PrefetchService,
+    SweepCoordinator,
+    make_coordinator_server,
+    make_server,
+)
 from repro.workloads.spec import build_workload_instance
 
 
-@pytest.fixture
-def http_service():
-    """A served PrefetchService; yields (call, service), then shuts down."""
-    service = PrefetchService()
-    server = make_server(service, port=0)
+@contextlib.contextmanager
+def _served(server):
+    """Serve ``server`` on a daemon thread; yield a JSON ``call`` helper."""
     port = server.server_address[1]
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -42,11 +46,19 @@ def http_service():
             return error.code, json.loads(error.read())
 
     try:
-        yield call, service
+        yield call
     finally:
         server.shutdown()
         server.server_close()
         thread.join(timeout=10)
+
+
+@pytest.fixture
+def http_service():
+    """A served PrefetchService; yields (call, service), then shuts down."""
+    service = PrefetchService()
+    with _served(make_server(service, port=0)) as call:
+        yield call, service
 
 
 def test_full_session_round_trip(http_service):
@@ -102,6 +114,33 @@ def test_error_mapping(http_service):
     assert code == 400 and "requests" in error["error"]
     assert call("GET", "/nope")[0] == 404
     assert call("POST", "/nope")[0] == 404
+
+
+def test_malformed_numeric_fields_answer_400_naming_the_field(http_service):
+    """A non-integer numeric field is a bad request, not a dropped connection."""
+    call, _service = http_service
+    code, created = call("POST", "/session", {"cache_size": 4, "fetch_time": 2})
+    assert code == 201
+    session_id = created["session"]
+    code, error = call("GET", f"/session/{session_id}/plan?limit=abc")
+    assert code == 400 and "'limit'" in error["error"]
+    code, error = call("POST", "/session", {"cache_size": "big"})
+    assert code == 400 and "'cache_size'" in error["error"]
+    code, error = call("POST", "/session", {"fetch_time": None})
+    assert code == 400 and "'fetch_time'" in error["error"]
+    # The server keeps answering after the bad requests.
+    assert call("GET", f"/session/{session_id}/plan?limit=2")[0] == 200
+
+
+def test_coordinator_malformed_chunk_answers_400_naming_the_field():
+    coordinator = SweepCoordinator(lease_timeout=5.0)
+    with _served(make_coordinator_server(coordinator)) as call:
+        for path in ("/heartbeat", "/complete"):
+            code, error = call("POST", path, {"worker": "w", "chunk": "x"})
+            assert code == 400 and "'chunk'" in error["error"], path
+        code, status = call("GET", "/status")
+        assert code == 200 and status["state"] == "waiting"
+        assert call("POST", "/lease", {"worker": "w"}) == (200, {"state": "idle"})
 
 
 def test_restart_resumes_sessions_over_http(tmp_path):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import shlex
+
 import pytest
 
 from repro.cli import build_parser, main, parse_workload
@@ -248,7 +250,7 @@ class TestCommands:
         assert code == 2
         assert "--resume needs --cache-dir" in err
 
-    def test_store_stats_gc_import(self, capsys, tmp_path):
+    def test_store_stats_and_gc(self, capsys, tmp_path):
         import json as json_module
 
         cache = tmp_path / "cache"
@@ -267,23 +269,6 @@ class TestCommands:
         assert payload["runs"] == 1 and payload["sweeps"] == 1
         assert main(["store", "gc", "--cache-dir", str(cache)]) == 0
         assert "removed 1 finished sweep manifest" in capsys.readouterr().out
-
-        # Import a legacy-format JSON cache directory into a fresh store.
-        from repro.analysis.runner import ExperimentSpec, point_cache_key, run_experiments
-
-        spec = ExperimentSpec(
-            name="legacy", workloads=("zipf:n=30,blocks=8,seed=0",),
-            cache_sizes=(4,), fetch_times=(3,), algorithms=("aggressive",),
-        )
-        legacy = tmp_path / "legacy"
-        legacy.mkdir()
-        run = run_experiments(spec)
-        (legacy / f"{point_cache_key(spec.points()[0])}.json").write_text(
-            json_module.dumps(run.records[0].to_json_dict(), sort_keys=True)
-        )
-        db = tmp_path / "imported.sqlite"
-        assert main(["store", "import", str(legacy), "--db", str(db)]) == 0
-        assert "imported 1 run record" in capsys.readouterr().out
 
     def test_store_stats_on_missing_db_fails_cleanly(self, capsys, tmp_path):
         code = main(["store", "stats", "--db", str(tmp_path / "nope.sqlite")])
@@ -588,3 +573,47 @@ class TestDistributedCommands:
         assert main(["sweep", *self.GRID, "--cache-dir", cache_dir]) == 0
         rerun = capsys.readouterr().out
         assert "(4 cached, 0 simulated" in rerun
+
+
+#: ``repro compare`` stdout, byte for byte, as it was before the command ran
+#: on the batched runner: the optimum, both ratios and the bounds line are
+#: pinned to the character.
+PINNED_COMPARE_OUTPUT = {
+    'compare -w "zipf:n=30,blocks=8,seed=2" -k 5 -F 3 -a "aggressive;conservative;delay:d=2;combination;demand"': (
+        "instance: n=30 distinct=8 k=5 F=3 D=1 warm=0",
+        "optimal stall = 8, optimal elapsed = 38",
+        "bounds: aggressive(Thm1)=1.500 (Cao et al. 1.600), lower(Thm2)=1.429, delay(d0=2)=1.875, combination=1.500",
+        "algorithm                stall  elapsed  fetches  elapsed_ratio  stall_ratio",
+        "-----------------------  -----  -------  -------  -------------  -----------",
+        "aggressive               8      38       10       1.000          1.000      ",
+        "conservative             11     41       8        1.079          1.375      ",
+        "delay(2)                 8      38       9        1.000          1.000      ",
+        "combination[aggressive]  8      38       10       1.000          1.000      ",
+        "demand[MIN]              24     54       8        1.421          3.000      ",
+    ),
+    'compare -w "loop:blocks=10,loops=2" -k 4 -F 3 -a "aggressive,conservative"': (
+        "instance: n=20 distinct=10 k=4 F=3 D=1 warm=0",
+        "optimal stall = 33, optimal elapsed = 53",
+        "bounds: aggressive(Thm1)=1.600 (Cao et al. 1.750), lower(Thm2)=1.545, delay(d0=2)=1.875, combination=1.600",
+        "algorithm     stall  elapsed  fetches  elapsed_ratio  stall_ratio",
+        "------------  -----  -------  -------  -------------  -----------",
+        "aggressive    33     53       17       1.000          1.000      ",
+        "conservative  45     65       16       1.226          1.364      ",
+    ),
+    'compare -w "zipf:n=40,blocks=12,seed=1" -k 4 -F 3 -D 2 -a "parallel-aggressive;demand"': (
+        "instance: n=40 distinct=10 k=4 F=3 D=2 warm=0",
+        "optimal stall = 7, optimal elapsed = 47",
+        "algorithm            stall  elapsed  fetches  elapsed_ratio  stall_ratio",
+        "-------------------  -----  -------  -------  -------------  -----------",
+        "parallel-aggressive  14     54       22       1.149          2.000      ",
+        "demand[MIN]          39     79       13       1.681          5.571      ",
+    ),
+}
+
+
+class TestComparePinnedOutput:
+    @pytest.mark.parametrize("command", sorted(PINNED_COMPARE_OUTPUT))
+    def test_compare_stdout_is_pinned(self, capsys, command):
+        assert main(shlex.split(command)) == 0
+        expected = "\n".join(PINNED_COMPARE_OUTPUT[command]) + "\n"
+        assert capsys.readouterr().out == expected

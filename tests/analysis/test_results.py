@@ -52,6 +52,18 @@ class TestRunRecord:
         payload = json.loads(json.dumps(record.to_json_dict()))
         assert RunRecord.from_json_dict(payload) == record
 
+    def test_engine_defaults_to_loop(self):
+        instance = ProblemInstance.single_disk(
+            uniform_random(30, 10, seed=2), cache_size=5, fetch_time=3
+        )
+        record = RunRecord.from_simulation(
+            simulate(instance, make_algorithm("aggressive")), point="no-engine"
+        )
+        assert record.engine == "loop"
+        payload = record.to_json_dict()
+        del payload["engine"]
+        assert RunRecord.from_json_dict(payload).engine == "loop"
+
     def test_with_identity_relabels_only_identity(self):
         record = _record()
         relabeled = record.with_identity(

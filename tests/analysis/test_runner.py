@@ -169,6 +169,27 @@ class TestRun:
         assert elapsed["paper alg=aggressive"] == 13
         assert elapsed["paper alg=conservative"] == 12
 
+    def test_both_entry_points_produce_the_same_ratio_records(self):
+        """run_experiments and evaluate_instances share one body: same records."""
+        spec = _small_spec(cache_sizes=(4,), seeds=(0,), compute_optimum=True)
+        grid = run_experiments(spec)
+        instance = spec.points()[0].build_instance()
+        adhoc = evaluate_instances(
+            [("p", instance)], ["aggressive", "demand"], compute_optimum=True
+        )
+        assert len(grid.records) == len(adhoc.records) == 2
+        for left, right in zip(grid.records, adhoc.records):
+            assert left.metrics == right.metrics
+            assert left.optimal_elapsed == right.optimal_elapsed is not None
+            assert left.optimal_stall == right.optimal_stall
+            assert left.elapsed_ratio == right.elapsed_ratio
+
+    def test_evaluate_instances_rejects_an_unknown_engine(self):
+        with pytest.raises(ConfigurationError, match="unknown engine"):
+            evaluate_instances(
+                [("paper", single_disk_example())], ["aggressive"], engine="turbo"
+            )
+
 
 class TestWorkerFailures:
     """A failing point must be named, not surface as a bare worker traceback."""

@@ -121,5 +121,5 @@ class DemandFetch(PrefetchAlgorithm):
             self._miss_at = cursor
         victim = None
         if view.free_slots == 0:
-            victim = self._policy.choose_victim(cursor, set(view.resident), block)
+            victim = self._policy.choose_victim(cursor, view.resident, block)
         return [FetchDecision(disk=disk, block=block, victim=victim)]

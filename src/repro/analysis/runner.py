@@ -53,7 +53,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..algorithms.registry import canonicalize_algorithm_spec, make_algorithm
@@ -68,6 +68,7 @@ from ..workloads.spec import (
     get_layout_builder,
     with_spec_params,
     workload_accepts,
+    workload_kind,
 )
 from .backends import (
     ExecutionBackend,
@@ -337,7 +338,7 @@ def _evaluate_point(point: ExperimentPoint) -> RunRecord:
         ) from exc
     if result.engine_reason is not None:
         logger.debug(
-            "point [%s]: vector engine ineligible, ran %s: %s",
+            "point [%s]: vector kernel not used, ran %s: %s",
             point.describe(),
             engine,
             result.engine_reason,
@@ -352,6 +353,30 @@ def _evaluate_point(point: ExperimentPoint) -> RunRecord:
     )
 
 
+def _batch_instances(points: Sequence[ExperimentPoint]) -> List[ProblemInstance]:
+    """The instances of a batch's points, each distinct workload generated once.
+
+    A batch mixes cache sizes, fetch times and algorithms over a handful of
+    workload specs (one per seed).  A ``sequence``-kind spec generates the
+    same requests whatever ``k`` and ``F``, so its points share one built
+    sequence and differ only in the instance's cache size and fetch time.
+    ``instance``-kind specs and prebuilt instances are built per point.
+    """
+    shared: Dict[str, ProblemInstance] = {}
+    instances = []
+    for point in points:
+        if point.workload is None or workload_kind(point.workload) == "instance":
+            instances.append(point.build_instance())
+            continue
+        base = shared.get(point.workload)
+        if base is None:
+            base = shared[point.workload] = point.build_instance()
+        instances.append(
+            replace(base, cache_size=point.cache_size, fetch_time=point.fetch_time)
+        )
+    return instances
+
+
 def _evaluate_batch(points: Tuple[ExperimentPoint, ...]) -> List[RunRecord]:
     """Worker entry: run one vectorizable batch through the vector kernel.
 
@@ -363,7 +388,10 @@ def _evaluate_batch(points: Tuple[ExperimentPoint, ...]) -> List[RunRecord]:
     in submission (grid) order.
     """
     try:
-        pairs = [(point.build_instance(), make_algorithm(point.algorithm)) for point in points]
+        pairs = [
+            (instance, make_algorithm(point.algorithm))
+            for point, instance in zip(points, _batch_instances(points))
+        ]
         outcomes = run_batch(pairs)
     except Exception as exc:
         raise PointEvaluationError(
@@ -437,7 +465,7 @@ _VECTOR_FAMILIES = frozenset({"aggressive", "delay", "combination"})
 
 #: A same-shape group smaller than this is not worth a stacked kernel pass
 #: (the numpy setup overhead eats the win); its points run as ordinary
-#: per-point tasks instead.
+#: per-point tasks instead, which ``engine="auto"`` sends to the loop engine.
 MIN_VECTOR_BATCH = 8
 
 #: Ceiling on points per stacked pass: keeps worker task sizes (and the
@@ -458,29 +486,27 @@ def _vector_eligible(point: ExperimentPoint) -> bool:
     return family in _VECTOR_FAMILIES
 
 
-def _vector_bucket_key(point: ExperimentPoint) -> Tuple[object, ...]:
+def _vector_bucket_key(point: ExperimentPoint) -> str:
     """Shape-bucket key: points sharing it stack into one kernel pass.
 
-    Spec-described points bucket by their workload spec with the seed
-    normalised away (same family and parameters ⇒ same sequence length and
-    block universe size), prebuilt instances by their materialised shape —
-    plus ``k``, ``F`` and the canonical algorithm, so one batch is "the same
-    grid point at many seeds", the common case of a ratio sweep.
+    The kernel takes per-row cache size, fetch time, plan and ragged length,
+    so a bucket is one *workload shape* across every ``k``, ``F`` and
+    algorithm of the grid.  Spec-described points bucket by their workload
+    spec with the seed normalised away (same family and parameters ⇒ same
+    sequence length and block universe size), prebuilt instances by their
+    materialised length and block count.  ``instance``-kind specs (``thm2``,
+    ``cao``) keep ``k`` and ``F`` in the key, because their length depends
+    on them.
     """
-    if point.workload is not None:
-        spec = point.workload
-        if workload_accepts(spec, "seed"):
-            spec = with_spec_params(spec, seed=0)
-        shape = f"spec={spec}"
-    else:
+    if point.workload is None:
         instance = point.build_instance()  # prebuilt: already materialised
-        shape = f"n={instance.num_requests};blocks={len(instance.sequence.distinct_blocks)}"
-    return (
-        shape,
-        point.cache_size,
-        point.fetch_time,
-        canonicalize_algorithm_spec(point.algorithm),
-    )
+        return f"n={instance.num_requests};blocks={len(instance.sequence.distinct_blocks)}"
+    spec = point.workload
+    if workload_accepts(spec, "seed"):
+        spec = with_spec_params(spec, seed=0)
+    if workload_kind(spec) == "instance":
+        return f"spec={spec};k={point.cache_size};F={point.fetch_time}"
+    return f"spec={spec}"
 
 
 def _plan_execution_units(pending):
@@ -496,7 +522,7 @@ def _plan_execution_units(pending):
     tasks, buckets larger than :data:`MAX_VECTOR_BATCH` are chunked.
     """
     units = []
-    buckets: Dict[Tuple[object, ...], List] = {}
+    buckets: Dict[str, List] = {}
     for item in pending:
         _position, point, _key = item
         if point.engine in ("vector", "auto") and _vector_eligible(point):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, List, Optional, Sequence, Set, Tuple
 
 from .._typing import BlockId
 from ..disksim.sequence import RequestSequence
@@ -38,7 +38,7 @@ class EvictionPolicy(ABC):
 
     @abstractmethod
     def choose_victim(
-        self, position: int, resident: Set[BlockId], requested: BlockId
+        self, position: int, resident: AbstractSet[BlockId], requested: BlockId
     ) -> BlockId:
         """Victim to evict when ``requested`` faults at ``position`` with a full cache."""
 

@@ -7,7 +7,7 @@ need a policy other than MIN/LRU.
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from typing import AbstractSet, Dict
 
 from .._typing import BlockId
 from ..disksim.sequence import RequestSequence
@@ -35,6 +35,6 @@ class FIFO(EvictionPolicy):
             self._counter += 1
 
     def choose_victim(
-        self, position: int, resident: Set[BlockId], requested: BlockId
+        self, position: int, resident: AbstractSet[BlockId], requested: BlockId
     ) -> BlockId:
         return min(resident, key=lambda b: (self._load_order.get(b, -1), str(b)))

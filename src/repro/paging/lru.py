@@ -8,7 +8,7 @@ policy substrate with a stateful policy.
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from typing import AbstractSet, Dict
 
 from .._typing import BlockId
 from ..disksim.sequence import RequestSequence
@@ -32,7 +32,7 @@ class LRU(EvictionPolicy):
         self._last_use[block] = position
 
     def choose_victim(
-        self, position: int, resident: Set[BlockId], requested: BlockId
+        self, position: int, resident: AbstractSet[BlockId], requested: BlockId
     ) -> BlockId:
         # Blocks never accessed (warm-start residents) have last use -1 and are
         # evicted first; ties broken by name for determinism.

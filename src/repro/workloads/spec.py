@@ -89,6 +89,7 @@ __all__ = [
     "build_workload_instance",
     "with_spec_params",
     "workload_accepts",
+    "workload_kind",
     "format_workload_catalog",
 ]
 
@@ -486,6 +487,18 @@ def workload_accepts(spec: str, param_name: str) -> bool:
     """
     name, _ = split_spec(spec)
     return param_name in get_workload(name, spec).param_names
+
+
+def workload_kind(spec: str) -> str:
+    """The kind (``"sequence"`` or ``"instance"``) of the workload named by ``spec``.
+
+    A ``sequence``-kind spec generates the same requests whatever the cache
+    size and fetch time, so the runner builds it once for all of them; an
+    ``instance``-kind construction (``thm2``, ``cao``) derives its requests
+    from ``k`` and ``F``.
+    """
+    name, _ = split_spec(spec)
+    return get_workload(name, spec).kind
 
 
 def with_spec_params(spec: str, **overrides) -> str:

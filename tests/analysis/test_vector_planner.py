@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import logging
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,9 +13,11 @@ from repro.analysis.runner import (
     MIN_VECTOR_BATCH,
     ExperimentSpec,
     _plan_execution_units,
+    _vector_bucket_key,
     point_cache_key,
     run_experiments,
 )
+from repro.disksim.executor import LONE_POINT_REASON
 
 
 def _spec(**overrides) -> ExperimentSpec:
@@ -151,3 +154,69 @@ def test_run_experiments_vector_matches_loop_modulo_engine():
 def test_auto_with_numpy_prefers_the_vector_engine():
     results = run_experiments(_spec(engine="auto", seeds=tuple(range(MIN_VECTOR_BATCH))))
     assert {record.engine for record in results.records} == {"vector"}
+
+
+# -- shape buckets across k, F and algorithm ---------------------------------------
+
+
+def test_mixed_grid_forms_one_batch_per_workload_shape():
+    """Every eligible point of one workload shape shares a single kernel pass."""
+    grid = dict(
+        workloads=("zipf:n=40,blocks=10", "loop:blocks=6,loops=4"),
+        cache_sizes=(4, 6),
+        fetch_times=(3, 5),
+        algorithms=("aggressive", "delay:d=3", "combination", "conservative", "demand"),
+        seeds=tuple(range(3)),
+        engine="auto",
+    )
+    units = _plan_execution_units(_pending(_spec(**grid)))
+    batches = [items for kind, items in units if kind == "simbatch"]
+    # zipf: 3 seeds x 2 k x 2 F x 3 covered algorithms; loop (unseeded): 2 x 2 x 3.
+    assert sorted(len(items) for items in batches) == [12, 36]
+    for items in batches:
+        assert len({point.workload.split(":")[0] for _p, point, _k in items}) == 1
+    ineligible = [items[0][1] for kind, items in units if kind == "sim"]
+    assert {point.algorithm for point in ineligible} == {"conservative", "demand"}
+
+    loop = run_experiments(_spec(**dict(grid, engine="loop")))
+    auto = run_experiments(_spec(**grid))
+    assert _normalized(auto) == _normalized(loop)
+    assert {r.engine for r in auto.records if r.algorithm_spec in ("conservative", "demand")} == {
+        "loop"
+    }
+    assert {
+        r.engine for r in auto.records if r.algorithm_spec not in ("conservative", "demand")
+    } == {"vector"}
+
+
+def test_instance_kind_buckets_never_mix_lengths():
+    """thm2's length depends on k and F, so they stay in its bucket key."""
+    spec = _spec(
+        workloads=("thm2:phases=3",),
+        cache_sizes=(7, 13),
+        fetch_times=(4,),
+        algorithms=("aggressive", "delay:d=2", "combination"),
+        seeds=(None,),
+    )
+    pending = _pending(spec)
+    lengths = {point.cache_size: point.build_instance().num_requests for _p, point, _k in pending}
+    assert len(set(lengths.values())) == 2  # the grid really has two lengths
+    buckets = {}
+    for _position, point, _key in pending:
+        buckets.setdefault(_vector_bucket_key(point), set()).add(
+            point.build_instance().num_requests
+        )
+    assert len(buckets) == 2
+    assert all(len(lengths_in_bucket) == 1 for lengths_in_bucket in buckets.values())
+
+
+def test_lone_auto_point_runs_the_loop_engine_and_says_why(caplog):
+    spec = _spec(engine="auto", seeds=(0,))
+    with caplog.at_level(logging.DEBUG, logger="repro.analysis.runner"):
+        results = run_experiments(spec)
+    assert [record.engine for record in results.records] == ["loop"]
+    assert LONE_POINT_REASON in caplog.text
+    # An explicit vector request keeps the kernel, even at batch size 1.
+    vector = run_experiments(_spec(engine="vector", seeds=(0,)))
+    assert [record.engine for record in vector.records] == ["vector"]
+    assert _normalized(vector) == _normalized(results)

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from repro.disksim import RequestSequence
+from repro.algorithms import Conservative, DemandFetch
+from repro.algorithms.parallel_aggressive import ParallelConservative
+from repro.disksim import DiskLayout, ProblemInstance, RequestSequence, simulate
 from repro.errors import ConfigurationError
 from repro.paging import FIFO, LRU, BeladyMIN, min_fault_count, run_paging
+from repro.paging.base import EvictionPolicy
 
 
 class TestRunPaging:
@@ -93,3 +98,80 @@ def test_property_min_is_optimal_among_policies(blocks, cache_size):
     assert min_faults <= run_paging(seq, cache_size, FIFO()).faults
     # faults are at least the number of distinct blocks beyond the (empty) cache
     assert min_faults >= min(len(set(blocks)), 1)
+
+
+class _ScanMIN(EvictionPolicy):
+    """Reference MIN: a max over the whole resident set at every eviction."""
+
+    name = "MIN"
+
+    def reset(self, sequence, cache_size):
+        self._sequence = sequence
+
+    def choose_victim(self, position, resident, requested):
+        seq = self._sequence
+        return max(resident, key=lambda b: (seq.next_use_from(position + 1, b), str(b)))
+
+
+def _outcome(result):
+    return result.metrics, result.schedule, result.policy_name
+
+
+@seed(13)
+@settings(max_examples=80, deadline=None)
+@given(
+    requests=st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=50),
+    cache_size=st.integers(min_value=1, max_value=6),
+    warm=st.integers(min_value=0, max_value=6),
+    fetch_time=st.integers(min_value=1, max_value=6),
+    disks=st.integers(min_value=2, max_value=3),
+)
+def test_heap_min_matches_the_max_scan_reference(requests, cache_size, warm, fetch_time, disks):
+    """Heap-backed MIN evicts exactly what the max-scan over resident blocks does.
+
+    Checked on cold and warm ``run_paging`` runs (the warm set includes
+    never-requested blocks, whose next uses tie at infinity) and on the
+    schedules of the algorithms that replay MIN: Conservative, demand
+    paging and parallel-conservative.
+    """
+    sequence = RequestSequence([f"b{block}" for block in requests])
+    universe = sorted(sequence.distinct_blocks) + ["w0", "w1"]
+    warm_set = universe[: min(warm, cache_size)]
+    for initial in ((), warm_set):
+        assert run_paging(sequence, cache_size, BeladyMIN(), initial) == run_paging(
+            sequence, cache_size, _ScanMIN(), initial
+        )
+
+    single = ProblemInstance.single_disk(sequence, cache_size, fetch_time, initial_cache=warm_set)
+    parallel = ProblemInstance.parallel_disk(
+        sequence,
+        cache_size,
+        fetch_time,
+        layout=DiskLayout.striped(sorted(sequence.distinct_blocks), disks),
+        initial_cache=warm_set,
+    )
+    assert _outcome(simulate(single, DemandFetch(BeladyMIN()))) == _outcome(
+        simulate(single, DemandFetch(_ScanMIN()))
+    )
+
+    def replays():
+        return [
+            _outcome(simulate(single, Conservative())),
+            _outcome(simulate(parallel, ParallelConservative())),
+        ]
+
+    heap = replays()
+    with mock.patch("repro.algorithms.conservative.BeladyMIN", _ScanMIN), mock.patch(
+        "repro.algorithms.parallel_aggressive.BeladyMIN", _ScanMIN
+    ):
+        assert replays() == heap
+
+
+def test_min_rebuilds_its_heap_when_positions_are_skipped():
+    """Direct calls that skip ``on_access`` still get the furthest next use."""
+    seq = RequestSequence(["a", "b", "c", "a", "b", "c", "d", "a"])
+    policy = BeladyMIN()
+    policy.reset(seq, 2)
+    assert policy.choose_victim(2, {"a", "b"}, "c") == "b"
+    # positions 3..5 never reported: from 7 on, only "a" is requested again
+    assert policy.choose_victim(6, {"a", "c"}, "d") == "c"

@@ -338,7 +338,7 @@ def _evaluate_point(point: ExperimentPoint) -> RunRecord:
         ) from exc
     if result.engine_reason is not None:
         logger.debug(
-            "point [%s]: vector kernel not used, ran %s: %s",
+            "point [%s]: vector engine ineligible, ran %s: %s",
             point.describe(),
             engine,
             result.engine_reason,
@@ -465,12 +465,17 @@ _VECTOR_FAMILIES = frozenset({"aggressive", "delay", "combination"})
 
 #: A same-shape group smaller than this is not worth a stacked kernel pass
 #: (the numpy setup overhead eats the win); its points run as ordinary
-#: per-point tasks instead, which ``engine="auto"`` sends to the loop engine.
+#: per-point tasks instead.
 MIN_VECTOR_BATCH = 8
 
 #: Ceiling on points per stacked pass: keeps worker task sizes (and the
 #: kernel's working set) bounded so process backends still load-balance.
 MAX_VECTOR_BATCH = 512
+
+#: Ceiling on rows x requests per stacked pass.  The kernel holds several
+#: (rows, n) int64 arrays, about 70 bytes per cell in all, so long sequences
+#: stack fewer rows per pass (never fewer than :data:`MIN_VECTOR_BATCH`).
+MAX_VECTOR_CELLS = 1 << 20
 
 
 def _vector_eligible(point: ExperimentPoint) -> bool:
@@ -509,6 +514,15 @@ def _vector_bucket_key(point: ExperimentPoint) -> str:
     return f"spec={spec}"
 
 
+def _stack_rows(point: ExperimentPoint) -> int:
+    """Rows per stacked pass for the bucket whose first point is ``point``."""
+    try:
+        length = point.build_instance().num_requests
+    except Exception:  # the batch task reports the failure with its context
+        return MAX_VECTOR_BATCH
+    return max(MIN_VECTOR_BATCH, min(MAX_VECTOR_BATCH, MAX_VECTOR_CELLS // max(1, length)))
+
+
 def _plan_execution_units(pending):
     """Group pending ``(position, point, key)`` triples into execution units.
 
@@ -519,7 +533,9 @@ def _plan_execution_units(pending):
     order and each bucket keeps its items in grid order, so zipping the
     streamed results against the units reproduces the serial order exactly.
     Buckets smaller than :data:`MIN_VECTOR_BATCH` are demoted to per-point
-    tasks, buckets larger than :data:`MAX_VECTOR_BATCH` are chunked.
+    tasks; larger ones are chunked at :data:`MAX_VECTOR_BATCH` rows or
+    :data:`MAX_VECTOR_CELLS` rows x requests (the length of the bucket's
+    first instance), whichever is fewer rows.
     """
     units = []
     buckets: Dict[str, List] = {}
@@ -539,11 +555,11 @@ def _plan_execution_units(pending):
     for kind, items in units:
         if kind == "sim" or len(items) < MIN_VECTOR_BATCH:
             planned.extend(("sim", [item]) for item in items)
-        else:
-            planned.extend(
-                ("simbatch", items[start:start + MAX_VECTOR_BATCH])
-                for start in range(0, len(items), MAX_VECTOR_BATCH)
-            )
+            continue
+        rows = _stack_rows(items[0][1])
+        planned.extend(
+            ("simbatch", items[start:start + rows]) for start in range(0, len(items), rows)
+        )
     return planned
 
 

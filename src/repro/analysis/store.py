@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import sqlite3
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -123,6 +124,24 @@ class SweepProgress:
         return f"{self.name!r}: {self.done}/{self.total} points complete, {self.remaining} remaining"
 
 
+def _enable_wal(conn: sqlite3.Connection, timeout: float) -> None:
+    """Switch ``conn`` to WAL mode, retrying while another connection holds a lock.
+
+    Changing the journal mode does not wait through SQLite's busy handler, so
+    processes opening a fresh store at the same moment can see "database is
+    locked" here; they retry for up to ``timeout`` seconds instead.
+    """
+    deadline = time.monotonic() + timeout
+    while True:
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            return
+        except sqlite3.OperationalError as exc:
+            if "locked" not in str(exc) or time.monotonic() >= deadline:
+                raise
+            time.sleep(0.01)
+
+
 class RunStore:
     """One SQLite file holding runs, optima and sweep manifests.
 
@@ -137,7 +156,7 @@ class RunStore:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         try:
             self._conn = sqlite3.connect(self.path, timeout=timeout)
-            self._conn.execute("PRAGMA journal_mode=WAL")
+            _enable_wal(self._conn, timeout)
             self._conn.execute("PRAGMA synchronous=NORMAL")
             self._conn.execute(f"PRAGMA busy_timeout={int(timeout * 1000)}")
             with self._conn:

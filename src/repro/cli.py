@@ -156,8 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--engine", default="loop", choices=_ENGINE_CHOICES,
                        help="simulation engine (loop = the indexed event loop; "
                        "vector = the numpy batch kernel, falling back to loop "
-                       "where uncovered; auto = loop, since the kernel only "
-                       "pays off on batches)")
+                       "where uncovered; auto = vector when available)")
     p_sim.add_argument("--gantt", action="store_true", help="print an ASCII Gantt chart")
     p_sim.add_argument("--timeline", action="store_true", help="print the event timeline")
 
@@ -207,8 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=_ENGINE_CHOICES,
                        help="simulation engine; vector/auto let the planner "
                        "stack same-shape points into batched kernel passes "
-                       "(uncovered points, and under auto lone points, run "
-                       "the loop engine)")
+                       "(uncovered points fall back to the loop engine)")
         p.add_argument("--cache-dir", default=None,
                        help="directory for the run store (a single SQLite file, "
                        "runs.sqlite, holding records, optima and sweep manifests)")

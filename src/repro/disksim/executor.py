@@ -95,21 +95,15 @@ class HorizonExhausted(Exception):
 
 _ENGINES = ("loop", "scan", "vector", "auto")
 
-#: ``engine_reason`` of a kernel-covered instance that ``engine="auto"`` runs
-#: alone: at batch size 1 the kernel's per-step numpy dispatch costs more
-#: than the loop engine's per-event Python calls.
-LONE_POINT_REASON = "lone point: the kernel only pays off batched"
-
 
 def canonical_engine(engine: str) -> str:
     """Validate an engine name and return it.
 
     ``"loop"`` is the indexed event loop, ``"scan"`` the scan-query
     reference implementation, ``"vector"`` the numpy struct-of-arrays batch
-    engine and ``"auto"`` picks the fastest applicable engine at run time:
-    the kernel for covered points that the sweep planner stacks into a
-    batch, the loop engine for everything else, lone instances included.
-    Raises :class:`~repro.errors.ConfigurationError` for anything else.
+    engine and ``"auto"`` picks the fastest applicable engine at run time
+    (vector when the instance/policy is covered, loop otherwise).  Raises
+    :class:`~repro.errors.ConfigurationError` for anything else.
     """
     if engine not in _ENGINES:
         raise ConfigurationError(
@@ -345,10 +339,9 @@ class SimulationResult:
     events: EventLog
     policy_name: str = ""
     #: Why the vector kernel was *not* used when the caller asked for
-    #: ``engine="auto"`` or ``engine="vector"`` and the loop engine ran
-    #: instead (e.g. ``"parallel-disk instance"``, or :data:`LONE_POINT_REASON`
-    #: for a covered instance under ``"auto"``).  ``None`` when the requested
-    #: engine ran, so engine choice is explainable from the result.
+    #: ``engine="auto"`` or ``engine="vector"`` and the run fell back to the
+    #: loop engine (e.g. ``"parallel-disk instance"``).  ``None`` when the
+    #: requested engine ran, so engine choice is explainable from the result.
     engine_reason: Optional[str] = None
 
     @property
@@ -928,10 +921,9 @@ def simulate(
     query by scanning the sequence, exactly as the seed engine did;
     ``"vector"`` runs the numpy struct-of-arrays kernel of
     :mod:`repro.disksim.vector` (falling back to the loop for
-    instances/policies it does not cover); ``"auto"`` runs one instance on
-    the loop engine, because the kernel only pays off when the sweep
-    planner stacks many instances into one pass.  All engines produce
-    identical schedules and metrics — the equivalence suites assert this.
+    instances/policies it does not cover); ``"auto"`` is
+    vector-when-possible, loop otherwise.  All engines produce identical
+    schedules and metrics — the equivalence suites assert this.
     """
     result, _ = simulate_with_engine(instance, policy, engine=engine)
     return result
@@ -950,22 +942,19 @@ def simulate_with_engine(
     ``"scan"`` or ``"vector"``) — callers recording provenance (the sweep
     runner's :class:`~repro.analysis.results.RunRecord`) need the realised
     engine, not the requested one, because ``"vector"`` silently falls back
-    to the loop for uncovered instances/policies and ``"auto"`` always runs
-    a lone instance on the loop engine.  Either way the result's
-    ``engine_reason`` says why the kernel did not run: the instance's
-    :func:`~repro.disksim.vector.ineligibility_reason`, or
-    :data:`LONE_POINT_REASON` for a covered instance under ``"auto"``.
+    to the loop for uncovered instances/policies and ``"auto"`` resolves at
+    run time.  A fallback records why the kernel could not run in the
+    result's ``engine_reason``.
     """
     engine = canonical_engine(engine)
     reason: Optional[str] = None
     if engine in ("vector", "auto"):
         from . import vector as _vector
 
-        if engine == "vector":
-            result = _vector.simulate_vector(instance, policy)
-            if result is not None:
-                return result, "vector"
-        reason = _vector.ineligibility_reason(instance, policy) or LONE_POINT_REASON
+        result = _vector.simulate_vector(instance, policy)
+        if result is not None:
+            return result, "vector"
+        reason = _vector.ineligibility_reason(instance, policy)
         engine = "loop"
     from .stepped import SteppedSimulation
 

@@ -254,6 +254,10 @@ class EvictionHeap:
     def __contains__(self, block: BlockId) -> bool:
         return block in self._resident
 
+    def holds(self, blocks: AbstractSet[BlockId]) -> bool:
+        """Whether the resident mirror is exactly ``blocks``."""
+        return self._resident == blocks
+
     def add(self, block: BlockId, cursor: int) -> None:
         """Mark ``block`` resident and key it at ``cursor``."""
         if block in self._resident:

@@ -29,10 +29,11 @@ class BeladyMIN(EvictionPolicy):
     eviction and kept in step afterwards: every hit reported through
     :meth:`on_access` refreshes the served block's key, and each
     :meth:`choose_victim` swaps its victim for the faulting block.  Its keys
-    are only exact when every position since the seeding was reported, so a
-    skipped position, or a heap whose size disagrees with ``resident`` (a
-    fault into a free slot, a caller that changed the cache behind the
-    policy's back), rebuilds it from ``resident``.
+    are only exact when every position since the seeding was reported and
+    its members are ``resident``, so a skipped position, or a heap whose
+    members differ from ``resident`` (a fault into a free slot, a victim the
+    caller did not apply, a cache changed behind the policy's back), rebuilds
+    it from ``resident``.
     """
 
     name = "MIN"
@@ -62,7 +63,7 @@ class BeladyMIN(EvictionPolicy):
         # broken by block name for determinism.
         cursor = position + 1
         heap = self._heap
-        if heap is None or cursor != self._next_position or len(heap) != len(resident):
+        if heap is None or cursor != self._next_position or not heap.holds(resident):
             heap = self._heap = EvictionHeap(self._sequence)
             for block in resident:
                 heap.add(block, cursor)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sqlite3
 import threading
 
 import pytest
@@ -19,7 +20,7 @@ from repro.analysis.runner import (
     sweep_key_for,
 )
 from repro.analysis.results import RunRecord
-from repro.analysis.store import RunStore, store_path_for
+from repro.analysis.store import RunStore, _enable_wal, store_path_for
 from repro.disksim.metrics import SimMetrics
 from repro.lp.service import OptimumRecord, OptimumService
 
@@ -366,3 +367,32 @@ class TestStoreBackedOptimumService:
             assert reader.optimum(instance) == record
             assert reader.solves == 0
             assert store.count_optima() == 1
+
+
+class _LockedConnection:
+    """Stands in for a connection whose WAL switch meets held locks."""
+
+    def __init__(self, failures, message="database is locked"):
+        self.failures = failures
+        self.message = message
+        self.calls = 0
+
+    def execute(self, sql):
+        self.calls += 1
+        if self.calls <= self.failures:
+            raise sqlite3.OperationalError(self.message)
+
+
+def test_wal_switch_retries_while_the_database_is_locked():
+    conn = _LockedConnection(failures=2)
+    _enable_wal(conn, timeout=5.0)
+    assert conn.calls == 3
+
+
+def test_wal_switch_gives_up_at_the_timeout_and_on_other_errors():
+    with pytest.raises(sqlite3.OperationalError, match="locked"):
+        _enable_wal(_LockedConnection(failures=10**6), timeout=0.05)
+    other = _LockedConnection(failures=1, message="disk I/O error")
+    with pytest.raises(sqlite3.OperationalError, match="I/O"):
+        _enable_wal(other, timeout=5.0)
+    assert other.calls == 1

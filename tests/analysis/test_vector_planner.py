@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import json
-import logging
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import runner as runner_module
 from repro.analysis.runner import (
     MAX_VECTOR_BATCH,
     MIN_VECTOR_BATCH,
@@ -17,7 +17,6 @@ from repro.analysis.runner import (
     point_cache_key,
     run_experiments,
 )
-from repro.disksim.executor import LONE_POINT_REASON
 
 
 def _spec(**overrides) -> ExperimentSpec:
@@ -210,13 +209,12 @@ def test_instance_kind_buckets_never_mix_lengths():
     assert all(len(lengths_in_bucket) == 1 for lengths_in_bucket in buckets.values())
 
 
-def test_lone_auto_point_runs_the_loop_engine_and_says_why(caplog):
-    spec = _spec(engine="auto", seeds=(0,))
-    with caplog.at_level(logging.DEBUG, logger="repro.analysis.runner"):
-        results = run_experiments(spec)
-    assert [record.engine for record in results.records] == ["loop"]
-    assert LONE_POINT_REASON in caplog.text
-    # An explicit vector request keeps the kernel, even at batch size 1.
-    vector = run_experiments(_spec(engine="vector", seeds=(0,)))
-    assert [record.engine for record in vector.records] == ["vector"]
-    assert _normalized(vector) == _normalized(results)
+
+def test_long_sequences_stack_fewer_rows_per_pass(monkeypatch):
+    """Buckets chunk at MAX_VECTOR_CELLS rows x requests, not only at MAX_VECTOR_BATCH."""
+    monkeypatch.setattr(runner_module, "MAX_VECTOR_CELLS", 30 * 10)  # 10 rows of n=30
+    units = _plan_execution_units(_pending(_spec(seeds=tuple(range(24)))))
+    assert [len(items) for _kind, items in units] == [10, 10, 4]
+    monkeypatch.setattr(runner_module, "MAX_VECTOR_CELLS", 30)  # floor: MIN_VECTOR_BATCH rows
+    units = _plan_execution_units(_pending(_spec(seeds=tuple(range(24)))))
+    assert [len(items) for _kind, items in units] == [MIN_VECTOR_BATCH] * 3

@@ -1,10 +1,9 @@
 """Engine auto-selection is explainable: the fallback reason is reported.
 
-When ``engine="auto"``/``"vector"`` runs the loop engine instead of the
-kernel, the result's ``engine_reason`` (:func:`~repro.disksim.vector.
-ineligibility_reason`, or the lone-point reason under ``auto``) must say
-why — the runner logs it, so a sweep that silently ran 10x slower than
-expected is diagnosable from the debug log.
+When ``engine="auto"``/``"vector"`` falls back to the loop engine, the
+result's ``engine_reason`` (and :func:`~repro.disksim.vector.
+ineligibility_reason`) must say why — the runner logs it, so a sweep that
+silently ran 10x slower than expected is diagnosable from the debug log.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 from helpers import random_instance
 from repro.algorithms import make_algorithm
 from repro.disksim import ineligibility_reason, simulate_with_engine
-from repro.disksim.executor import LONE_POINT_REASON
 
 
 def test_loop_engine_sets_no_reason():
@@ -53,15 +51,5 @@ def test_vector_covered_run_sets_no_reason():
     )
     if engine == "vector":
         assert result.engine_reason is None
-    else:  # auto runs a lone instance on the loop engine
+    else:  # pragma: no cover - only without a vector-covered plan
         assert result.engine_reason is not None
-
-
-def test_auto_runs_a_lone_covered_instance_on_the_loop_engine():
-    instance = random_instance(0)
-    result, engine = simulate_with_engine(instance, make_algorithm("aggressive"), engine="auto")
-    assert engine == "loop"
-    assert result.engine_reason == LONE_POINT_REASON
-    vector, engine = simulate_with_engine(instance, make_algorithm("aggressive"), engine="vector")
-    assert engine == "vector" and vector.engine_reason is None
-    assert (vector.metrics, vector.schedule) == (result.metrics, result.schedule)

@@ -175,3 +175,12 @@ def test_min_rebuilds_its_heap_when_positions_are_skipped():
     assert policy.choose_victim(2, {"a", "b"}, "c") == "b"
     # positions 3..5 never reported: from 7 on, only "a" is requested again
     assert policy.choose_victim(6, {"a", "c"}, "d") == "c"
+
+
+def test_min_rebuilds_its_heap_when_a_victim_was_not_applied():
+    """Asking twice at one position, cache unchanged, gives the same victim."""
+    seq = RequestSequence(["a", "b", "c", "a", "b"])
+    policy = BeladyMIN()
+    policy.reset(seq, 2)
+    assert policy.choose_victim(2, {"a", "b"}, "c") == "b"
+    assert policy.choose_victim(2, {"a", "b"}, "c") == "b"

@@ -68,16 +68,26 @@ class StreamSequence(RequestSequence):
         """Append ``blocks`` at the tail; returns how many were appended.
 
         Raises :class:`~repro.errors.InvalidSequenceError` when the stream is
-        closed or a block is ``None``.
+        closed or a block is ``None`` or unhashable.  The batch is checked
+        whole before anything is appended, so a rejected batch leaves the
+        stream unchanged.
         """
         if self._closed:
             raise InvalidSequenceError("cannot extend a closed StreamSequence")
         requests = cast(List[BlockId], self._requests)
         next_use = cast(List[int], self._next_use)
-        count = 0
-        for block in blocks:
+        batch = list(blocks)
+        for offset, block in enumerate(batch):
+            position = len(requests) + offset
             if block is None:
-                raise InvalidSequenceError(f"request {len(requests)} is None")
+                raise InvalidSequenceError(f"request {position} is None")
+            try:
+                hash(block)
+            except TypeError:
+                raise InvalidSequenceError(
+                    f"request {position} is not a hashable block id: {block!r}"
+                ) from None
+        for block in batch:
             position = len(requests)
             plist = self._positions.setdefault(block, [])
             if plist:
@@ -87,8 +97,7 @@ class StreamSequence(RequestSequence):
             plist.append(position)
             requests.append(block)
             next_use.append(INFINITY)
-            count += 1
-        return count
+        return len(batch)
 
     # -- identity ----------------------------------------------------------------
 

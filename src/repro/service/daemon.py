@@ -52,10 +52,13 @@ class PrefetchService:
         fetch_time: int,
         initial_cache: Iterable[BlockId] = (),
     ) -> Session:
-        """Open a new session and return it (its id is ``s1``, ``s2``, ...)."""
+        """Open a new session and return it (its id is ``s1``, ``s2``, ...).
+
+        The id is taken only once the session exists: a rejected create
+        leaves the counter where it was.
+        """
         with self._lock:
-            self._counter += 1
-            session_id = f"s{self._counter}"
+            session_id = f"s{self._counter + 1}"
             session = Session.create(
                 session_id,
                 algorithm,
@@ -64,6 +67,7 @@ class PrefetchService:
                 initial_cache=initial_cache,
                 recorder=self._recorder_for(session_id),
             )
+            self._counter += 1
             self._sessions[session_id] = session
             return session
 

@@ -7,11 +7,22 @@ bad request.  :class:`JSONRequestHandler` owns that plumbing; a subclass
 supplies only :meth:`~JSONRequestHandler.route`.  :class:`JSONHTTPServer`
 is the threaded server both bind, recording its start time for the
 ``/health`` uptime field.
+
+Reply contract: every JSON reply leaves in one ``send()`` of status line,
+headers and body together, on a socket with ``TCP_NODELAY`` set.  Both halves
+matter on keep-alive connections.  Written as two segments (headers, then
+body), Nagle's algorithm holds the body until the client ACKs the headers,
+and the client delays that ACK by about 40 ms, so every request on a
+persistent connection would wait out the delayed-ACK timer.  A bad
+``Content-Length`` or an unexpected exception is answered in JSON as well,
+never with a dropped connection; a reply after which the server closes the
+connection says ``Connection: close``.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple, Type
@@ -20,6 +31,8 @@ from urllib.parse import parse_qs, urlparse
 from ..errors import ConfigurationError, ReproError
 
 __all__ = ["JSONHTTPServer", "JSONRequestHandler", "int_field"]
+
+logger = logging.getLogger(__name__)
 
 
 def int_field(name: str, value: Any) -> int:
@@ -59,10 +72,13 @@ class JSONRequestHandler(BaseHTTPRequestHandler):
     Subclasses implement :meth:`route`, returning ``(status, body)`` or
     ``None`` for an unknown route (404).  A
     :class:`~repro.errors.ReproError` raised while routing becomes
-    ``{"error": ...}`` with the status :meth:`error_status` picks.
+    ``{"error": ...}`` with the status :meth:`error_status` picks; any other
+    exception becomes a last-resort 500 that closes the connection.
     """
 
     protocol_version = "HTTP/1.1"
+    # Replies go out as soon as they are written (see the module docstring).
+    disable_nagle_algorithm = True
 
     # The default handler logs every request with a wall-clock timestamp to
     # stderr; the servers expose their own observability endpoints instead.
@@ -70,17 +86,34 @@ class JSONRequestHandler(BaseHTTPRequestHandler):
         pass
 
     def send_json(self, code: int, payload: Dict[str, Any]) -> None:
-        """Write ``payload`` as the sorted-key JSON response body."""
+        """Write ``payload`` as the sorted-key JSON response, in one write."""
         body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        # end_headers() would write the header block on its own; join it with
+        # the body instead so the reply is a single send().
+        self._headers_buffer.append(b"\r\n")
+        self.wfile.write(b"".join(self._headers_buffer) + body)
+        self._headers_buffer = []
 
     def read_body(self) -> Dict[str, Any]:
-        """The request body as a JSON object (``{}`` when empty)."""
-        length = int(self.headers.get("Content-Length") or 0)
+        """The request body as a JSON object (``{}`` when empty).
+
+        A ``Content-Length`` that is not a non-negative integer leaves the
+        body's extent unknown, so the request is answered 400 and the
+        connection closed: the rest of the stream cannot be framed.
+        """
+        declared = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self.close_connection = True
+            raise ConfigurationError(f"invalid Content-Length {declared!r}")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}
@@ -107,12 +140,16 @@ class JSONRequestHandler(BaseHTTPRequestHandler):
         try:
             reply = self.route(method, url.path, parse_qs(url.query))
         except ReproError as exc:
-            self.send_json(self.error_status(exc), {"error": str(exc)})
-            return
+            reply = self.error_status(exc), {"error": str(exc)}
+        except Exception as exc:
+            # Last resort: the client still gets an answer, but the request
+            # may be half read, so the connection is not reused.
+            logger.exception("unhandled error answering %s %s", method, url.path)
+            self.close_connection = True
+            reply = 500, {"error": f"{type(exc).__name__}: {exc}"}
         if reply is None:
-            self.send_json(404, {"error": f"no route for {method} {url.path}"})
-        else:
-            self.send_json(*reply)
+            reply = 404, {"error": f"no route for {method} {url.path}"}
+        self.send_json(*reply)
 
     def do_GET(self) -> None:
         """Dispatch a GET request through :meth:`route`."""

@@ -87,11 +87,16 @@ class _Handler(JSONRequestHandler):
         if method == "POST":
             body = self.read_body()
             if path == "/session":
+                initial_cache = body.get("initial_cache", [])
+                if not isinstance(initial_cache, list):
+                    raise ConfigurationError(
+                        f"field 'initial_cache' must be a list of blocks, got {initial_cache!r}"
+                    )
                 session = service.create_session(
                     str(body.get("algorithm", "aggressive")),
                     cache_size=int_field("cache_size", body.get("cache_size", 16)),
                     fetch_time=int_field("fetch_time", body.get("fetch_time", 8)),
-                    initial_cache=body.get("initial_cache", ()),
+                    initial_cache=initial_cache,
                 )
                 return 201, session.describe()
             if session_id is not None and verb == "requests":

@@ -9,8 +9,11 @@ sees it.
 from __future__ import annotations
 
 import contextlib
+import http.client
 import json
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -130,6 +133,50 @@ def test_malformed_numeric_fields_answer_400_naming_the_field(http_service):
     assert code == 400 and "'fetch_time'" in error["error"]
     # The server keeps answering after the bad requests.
     assert call("GET", f"/session/{session_id}/plan?limit=2")[0] == 200
+
+
+def test_non_list_initial_cache_answers_400_on_a_kept_alive_socket():
+    service = PrefetchService()
+    server = make_server(service, port=0)
+    with _served(server) as call:
+        body = json.dumps({"cache_size": 4, "fetch_time": 2, "initial_cache": 5}).encode()
+        request = (
+            b"POST /session HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\n"
+            b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+        )
+        with socket.create_connection(server.server_address[:2], timeout=10) as sock:
+            replies = []
+            for _ in range(2):  # the second request rides the same connection
+                sock.sendall(request)
+                response = http.client.HTTPResponse(sock)
+                response.begin()
+                replies.append((response.status, json.loads(response.read())))
+        for code, error in replies:
+            assert code == 400 and "'initial_cache'" in error["error"]
+        assert call("POST", "/session", {"cache_size": 4, "fetch_time": 2})[0] == 201
+
+
+def test_keep_alive_requests_do_not_wait_for_delayed_acks():
+    """20 sequential feeds on one connection; the delayed-ACK stall costs ~40 ms each."""
+    server = make_server(PrefetchService(), port=0)
+    with _served(server) as call:
+        _code, created = call("POST", "/session", {"cache_size": 8, "fetch_time": 4})
+        path = f"/session/{created['session']}/requests"
+        connection = http.client.HTTPConnection(*server.server_address[:2], timeout=10)
+        try:
+            started = time.perf_counter()
+            for i in range(20):
+                connection.request(
+                    "POST", path, body=json.dumps({"requests": [f"b{i % 5}"]}),
+                    headers={"Content-Type": "application/json"},
+                )
+                response = connection.getresponse()
+                assert response.status == 200, response.read()
+                response.read()
+            elapsed = time.perf_counter() - started
+        finally:
+            connection.close()
+    assert elapsed < 0.4, f"20 keep-alive requests took {elapsed:.3f} s"
 
 
 def test_coordinator_malformed_chunk_answers_400_naming_the_field():

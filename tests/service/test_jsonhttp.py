@@ -1,8 +1,10 @@
 """The shared JSON-over-HTTP scaffold: field coercion and request framing.
 
 A minimal :class:`JSONRequestHandler` subclass is served on an ephemeral
-port so the base class's body parsing, error mapping and 404 fallback are
-tested apart from either real front end.
+port so the base class's body parsing, error mapping, 404 fallback and reply
+contract (one write per reply, ``TCP_NODELAY`` on) are tested apart from
+either real front end.  Framing errors are sent over raw sockets, since
+:mod:`http.client` refuses to send a malformed ``Content-Length``.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import http.client
 import json
+import socket
 import threading
 
 import pytest
@@ -28,16 +31,47 @@ class _EchoHandler(JSONRequestHandler):
             return 200, {"n": int_field("n", query.get("n", ["0"])[0])}
         if method == "GET" and path == "/teapot":
             raise ReproError("short and stout")
+        if method == "GET" and path == "/nodelay":
+            nodelay = self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            return 200, {"nodelay": nodelay}
+        if method == "GET" and path == "/boom":
+            raise RuntimeError("kaboom")
         return None
 
     def error_status(self, exc):
         return 418 if "stout" in str(exc) else 400
 
 
+class _WriteLog:
+    """Wraps a handler's ``wfile``, recording every write that reaches it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.writes = []
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+        return self.inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+class _LoggedEchoHandler(_EchoHandler):
+    """The echo handler with its ``wfile`` wrapped in a :class:`_WriteLog`."""
+
+    logs = []
+
+    def setup(self):
+        super().setup()
+        self.wfile = _WriteLog(self.wfile)
+        self.logs.append(self.wfile)
+
+
 @contextlib.contextmanager
-def _served():
-    """Serve the echo handler; yield a raw ``call(method, path, body)`` helper."""
-    server = JSONHTTPServer(("127.0.0.1", 0), _EchoHandler)
+def _served(handler=_EchoHandler):
+    """Serve ``handler``; yield a ``call(method, path, body)`` helper and the server."""
+    server = JSONHTTPServer(("127.0.0.1", 0), handler)
     port = server.server_address[1]
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -106,3 +140,86 @@ def test_unknown_route_answers_404_and_error_status_is_overridable():
 def test_server_reports_a_nonnegative_uptime():
     with _served() as (_call, server):
         assert server.uptime_seconds() >= 0.0
+
+
+def _raw_exchange(server, request):
+    """Send raw ``request`` bytes on a fresh socket; parse one reply.
+
+    Returns ``(status, body, connection_header, socket)``; the caller closes
+    the socket.
+    """
+    sock = socket.create_connection(server.server_address[:2], timeout=10)
+    sock.sendall(request)
+    response = http.client.HTTPResponse(sock)
+    response.begin()
+    body = json.loads(response.read())
+    return response.status, body, response.getheader("Connection"), sock
+
+
+@pytest.mark.parametrize("length", ["abc", "-5"])
+def test_malformed_content_length_answers_400_and_closes(length):
+    request = (
+        f"POST /echo HTTP/1.1\r\nHost: x\r\nContent-Length: {length}\r\n\r\n{{}}"
+    ).encode()
+    with _served() as (call, server):
+        code, error, connection, sock = _raw_exchange(server, request)
+        with sock:
+            assert code == 400 and repr(length) in error["error"]
+            # The body's extent is unknown, so the server closes the stream.
+            assert connection == "close"
+            assert sock.recv(1) == b""
+        assert call("POST", "/echo", b'{"ok": 1}') == (200, {"body": {"ok": 1}})
+
+
+def test_request_rejected_before_routing_is_still_answered():
+    """``parse_request`` failures answer through ``send_error``, not a silent close."""
+    with _served() as (_call, server):
+        sock = socket.create_connection(server.server_address[:2], timeout=10)
+        with sock:
+            # 101 header lines: one more than http.server accepts.
+            sock.sendall(b"GET /count HTTP/1.1\r\n" + b"X-Pad: 1\r\n" * 101)
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            assert response.status == 431
+            assert response.getheader("Connection") == "close"
+
+
+def test_unexpected_exception_answers_500_and_closes():
+    with _served() as (call, server):
+        code, error, connection, sock = _raw_exchange(
+            server, b"GET /boom HTTP/1.1\r\nHost: x\r\n\r\n"
+        )
+        with sock:
+            assert (code, error) == (500, {"error": "RuntimeError: kaboom"})
+            assert connection == "close"
+            assert sock.recv(1) == b""
+        assert call("GET", "/count?n=2") == (200, {"n": 2})
+
+
+def test_each_reply_is_one_write_on_a_nodelay_socket():
+    """The reply contract that keeps keep-alive clients out of the delayed-ACK stall."""
+    _LoggedEchoHandler.logs.clear()
+    with _served(_LoggedEchoHandler) as (_call, server):
+        connection = http.client.HTTPConnection(*server.server_address[:2], timeout=10)
+        try:
+            replies = []
+            for method, path, body in (
+                ("GET", "/nodelay", None),
+                ("POST", "/echo", b'{"a": 1}'),
+                ("GET", "/nowhere", None),
+            ):
+                connection.request(method, path, body=body)
+                response = connection.getresponse()
+                replies.append((response.status, json.loads(response.read())))
+        finally:
+            connection.close()
+    assert replies[0][0] == 200 and replies[0][1]["nodelay"] != 0
+    assert [status for status, _ in replies] == [200, 200, 404]
+    # One connection, one handler: three replies, three writes, each a whole
+    # response (status line, headers and body).
+    [log] = _LoggedEchoHandler.logs
+    assert len(log.writes) == 3
+    for write, (_status, body) in zip(log.writes, replies):
+        head, _, payload = write.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 ")
+        assert json.loads(payload) == body

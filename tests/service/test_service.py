@@ -16,7 +16,7 @@ import pytest
 from repro.algorithms import make_algorithm
 from repro.analysis.results import RunRecord
 from repro.disksim.executor import simulate
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, InvalidSequenceError
 from repro.service import PrefetchService, SessionRecorder, replay_workload
 from repro.workloads.spec import build_workload_instance
 
@@ -58,6 +58,35 @@ class TestSessionLifecycle:
         service = PrefetchService()
         with pytest.raises(ConfigurationError, match="unknown session"):
             service.feed("s404", ["a"])
+
+    def test_rejected_create_does_not_burn_a_session_id(self):
+        service = PrefetchService()
+        with pytest.raises(ConfigurationError):
+            service.create_session("aggressive", cache_size=0, fetch_time=2)
+        assert service.session_ids == []
+        assert service.create_session("aggressive", cache_size=4, fetch_time=2).session_id == "s1"
+        assert service.create_session("aggressive", cache_size=4, fetch_time=2).session_id == "s2"
+
+    @pytest.mark.parametrize(
+        "batch, message",
+        ((["a", "b", None], "request 5 is None"), (["c", ["x"]], "request 4 is not a hashable")),
+    )
+    def test_rejected_feed_leaves_stream_journal_and_plan_unchanged(
+        self, tmp_path, batch, message
+    ):
+        service = PrefetchService(state_dir=tmp_path)
+        try:
+            service.create_session("aggressive", cache_size=2, fetch_time=2)
+            service.feed("s1", ["a", "b", "a"])
+            plan = service.plan("s1")
+            journal = (tmp_path / "s1.events.jsonl").read_text()
+            with pytest.raises(InvalidSequenceError, match=message):
+                service.feed("s1", batch)
+            assert (tmp_path / "s1.events.jsonl").read_text() == journal
+            assert service.get("s1").describe()["horizon"] == 3
+            assert service.plan("s1") == plan
+        finally:
+            service.close()
 
     def test_plan_limit_caps_upcoming(self):
         service = PrefetchService()

@@ -56,7 +56,7 @@ import logging
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..algorithms.registry import canonicalize_algorithm_spec, make_algorithm
+from ..algorithms.registry import canonicalize_algorithm_spec, make_algorithm, parse_algorithm
 from ..disksim.executor import canonical_engine, simulate_with_engine
 from ..disksim.instance import ProblemInstance
 from ..disksim.vector import run_batch
@@ -400,6 +400,13 @@ def _evaluate_batch(points: Tuple[ExperimentPoint, ...]) -> List[RunRecord]:
         ) from exc
     records = []
     for point, (instance, _), outcome in zip(points, pairs, outcomes):
+        if outcome.ineligibility_reason is not None:
+            logger.debug(
+                "point [%s]: vector engine ineligible, ran %s: %s",
+                point.describe(),
+                outcome.engine,
+                outcome.ineligibility_reason,
+            )
         records.append(
             RunRecord(
                 point=point.describe(),
@@ -460,8 +467,9 @@ def _run_task(task: Tuple[str, object]):
 # ---------------------------------------------------------------------------------
 
 #: Algorithm families the vector kernel covers (single-disk plans only);
-#: everything else falls back to the loop engine.
-_VECTOR_FAMILIES = frozenset({"aggressive", "delay", "combination"})
+#: everything else falls back to the loop engine.  ``demand`` is covered
+#: with its default MIN backend only (see :func:`_vector_eligible`).
+_VECTOR_FAMILIES = frozenset({"aggressive", "delay", "combination", "conservative", "demand"})
 
 #: A same-shape group smaller than this is not worth a stacked kernel pass
 #: (the numpy setup overhead eats the win); its points run as ordinary
@@ -487,8 +495,11 @@ def _vector_eligible(point: ExperimentPoint) -> bool:
     """
     if point.disks != 1:
         return False
-    family = canonicalize_algorithm_spec(point.algorithm).split(":", 1)[0]
-    return family in _VECTOR_FAMILIES
+    try:
+        definition, params = parse_algorithm(point.algorithm)
+    except ConfigurationError:
+        return False  # the per-point task reports the bad spec with its point
+    return definition.name in _VECTOR_FAMILIES and params.get("evict", "min") == "min"
 
 
 def _vector_bucket_key(point: ExperimentPoint) -> str:

@@ -10,12 +10,18 @@ family (a pure performance regression no equivalence test catches); drift
 the other way sends ineligible points into per-pair fallback churn.  This
 rule extracts both sets from the ASTs and fails when they disagree, so the
 invariant holds before anything runs.
+
+Kernel classes are named by family through the ``_def(name, summary,
+Factory, ...)`` registrations of ``algorithms/registry.py``; a class the
+registry does not register (an eviction backend such as ``BeladyMIN``) is a
+plan detail, not a family.  Without the registry in the scan, lower-cased
+class names stand in for family names.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Set, Tuple
 
 from ..astutil import dotted_name
 from ..base import ModuleUnderCheck, ProjectChecker, register_checker
@@ -25,6 +31,7 @@ __all__ = ["EngineParityChecker"]
 
 _RUNNER = "analysis/runner.py"
 _VECTOR = "disksim/vector.py"
+_REGISTRY = "algorithms/registry.py"
 
 
 def _planner_families(module: ModuleUnderCheck) -> Optional[Tuple[int, Set[str]]]:
@@ -50,17 +57,31 @@ def _planner_families(module: ModuleUnderCheck) -> Optional[Tuple[int, Set[str]]
     return None
 
 
-def _kernel_families(module: ModuleUnderCheck) -> Optional[Tuple[int, Set[str]]]:
-    """``(line, families)`` the kernel's ``_resolve_plan`` dispatches on.
+def _registered_families(module: ModuleUnderCheck) -> Dict[str, str]:
+    """Factory class name -> family name of each ``_def(name, summary, Factory)``."""
+    families: Dict[str, str] = {}
+    for node in ast.walk(module.tree):
+        if not (isinstance(node, ast.Call) and dotted_name(node.func) == "_def"):
+            continue
+        if len(node.args) < 3 or not isinstance(node.args[0], ast.Constant):
+            continue
+        factory = dotted_name(node.args[2])
+        if factory is not None and isinstance(node.args[0].value, str):
+            families[factory.split(".")[-1]] = node.args[0].value
+    return families
 
-    Families are the lower-cased class names appearing in
-    ``type(policy) is <Class>`` comparisons — the exact-type dispatch the
-    kernel documents (subclasses fall back to the loop engine).
+
+def _kernel_classes(module: ModuleUnderCheck) -> Optional[Tuple[int, Set[str]]]:
+    """``(line, class names)`` the kernel's ``_resolve_plan`` dispatches on.
+
+    The classes appearing in ``type(...) is <Class>`` comparisons — the
+    exact-type dispatch the kernel documents (subclasses fall back to the
+    loop engine).
     """
     for node in ast.walk(module.tree):
         if not (isinstance(node, ast.FunctionDef) and node.name == "_resolve_plan"):
             continue
-        families: Set[str] = set()
+        classes: Set[str] = set()
         for compare in ast.walk(node):
             if not isinstance(compare, ast.Compare):
                 continue
@@ -76,8 +97,8 @@ def _kernel_families(module: ModuleUnderCheck) -> Optional[Tuple[int, Set[str]]]
             for operand in operands:
                 name = dotted_name(operand)
                 if name is not None:
-                    families.add(name.split(".")[-1].lower())
-        return node.lineno, families
+                    classes.add(name.split(".")[-1])
+        return node.lineno, classes
     return None
 
 
@@ -90,7 +111,7 @@ class EngineParityChecker(ProjectChecker):
         "the algorithm families runner._VECTOR_FAMILIES declares must equal "
         "the families disksim.vector._resolve_plan dispatches on"
     )
-    scope = (_RUNNER, _VECTOR)
+    scope = (_RUNNER, _VECTOR, _REGISTRY)
 
     def check_project(
         self, modules: Sequence[ModuleUnderCheck]
@@ -111,7 +132,7 @@ class EngineParityChecker(ProjectChecker):
                 "engine-parity invariant is anchored on",
             )
             return
-        kernel = _kernel_families(vector)
+        kernel = _kernel_classes(vector)
         if kernel is None:
             yield Finding(
                 path=_VECTOR,
@@ -122,7 +143,13 @@ class EngineParityChecker(ProjectChecker):
             )
             return
         planner_line, planner_set = planner
-        _kernel_line, kernel_set = kernel
+        _kernel_line, kernel_classes = kernel
+        registry = by_path.get(_REGISTRY)
+        if registry is None:
+            kernel_set = {name.lower() for name in kernel_classes}
+        else:
+            registered = _registered_families(registry)
+            kernel_set = {registered[c] for c in kernel_classes if c in registered}
         if planner_set != kernel_set:
             missing = sorted(kernel_set - planner_set)
             extra = sorted(planner_set - kernel_set)

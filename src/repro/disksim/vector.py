@@ -14,12 +14,18 @@ costs a handful of vectorized array operations regardless of how many rows
 Scope and fallback
 ------------------
 The kernel covers the single-disk native policies whose decision rules are
-pure functions of (resident set, next-use table, cursor): ``Aggressive``
-(both tie-breaks), ``Delay(d)`` and ``Combination`` (resolved to whichever
-component it selects for the instance).  Everything else — parallel-disk
-instances, ``Conservative``, ``DemandFetch``, custom policies, block
+pure functions of (resident set, next-use table, cursor), plus a per-row
+plan pointer: ``Aggressive`` (both tie-breaks), ``Delay(d)``,
+``Combination`` (resolved to whichever component it selects for the
+instance), ``DemandFetch`` with Belady's MIN backend (victim: the
+furthest-next-use argmax) and ``Conservative`` (it walks the MIN plan
+``Conservative.on_reset`` builds, replayed once per sequence, cache size and
+warm set in a batch, and takes the engine's forced demand fetch when the
+plan leaves the cursor's block absent).  Everything else — parallel-disk
+instances, ``demand:evict=lru|fifo``, subclasses and custom policies, block
 identifiers whose string forms collide — transparently falls back to the
-loop engine, per item, inside :func:`run_batch`.  The produced
+loop engine, per item, inside :func:`run_batch`, which records why on the
+item's :class:`BatchOutcome`.  The produced
 :class:`~repro.disksim.metrics.SimMetrics` and
 :class:`~repro.disksim.schedule.Schedule` are identical to the loop engine's
 (the vector equivalence suite asserts this byte-for-byte); only the
@@ -30,7 +36,7 @@ Python event object per serve would defeat the point of the kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy
 
@@ -58,11 +64,15 @@ __all__ = [
 np: Any = numpy
 
 
+#: Kernel plan kinds, in the order of the kernel's per-row ``kind`` codes.
+_KINDS = ("aggressive", "delay", "demand", "conservative")
+
+
 @dataclass(frozen=True)
 class _Plan:
     """Kernel-executable description of a native single-disk policy."""
 
-    kind: str  # "aggressive" | "delay"
+    kind: str  # one of _KINDS
     tiebreak: str = "high"
     d: int = 0
 
@@ -73,16 +83,25 @@ def _resolve_plan(instance: ProblemInstance, policy: Any, _depth: int = 0) -> Op
     Only the exact shipped classes qualify (``type() is`` checks): a subclass
     may override ``decide`` arbitrarily, so it falls back to the loop engine.
     ``Combination`` is resolved through its own selection rule to whichever
-    component it would run on ``instance``.
+    component it would run on ``instance``.  ``DemandFetch`` qualifies only
+    with Belady's MIN as its eviction backend, whose victim is the kernel's
+    furthest-next-use argmax.
     """
     from ..algorithms.aggressive import Aggressive
     from ..algorithms.combination import Combination
+    from ..algorithms.conservative import Conservative
     from ..algorithms.delay import Delay
+    from ..algorithms.demand import DemandFetch
+    from ..paging.belady import BeladyMIN
 
     if type(policy) is Aggressive:
         return _Plan(kind="aggressive", tiebreak=policy.tiebreak)
     if type(policy) is Delay:
         return _Plan(kind="delay", d=policy.d)
+    if type(policy) is Conservative:
+        return _Plan(kind="conservative")
+    if type(policy) is DemandFetch and type(policy._policy) is BeladyMIN:
+        return _Plan(kind="demand")
     if type(policy) is Combination and _depth < 8:
         return _resolve_plan(instance, policy._select(instance), _depth + 1)
     return None
@@ -129,6 +148,11 @@ def ineligibility_reason(instance: ProblemInstance, policy: Any) -> Optional[str
     return None
 
 
+#: A Conservative row's MIN fetch plan as ``(block, victim, earliest)`` id
+#: lists (victim ``-1``: none planned).
+_FetchPlan = Tuple[List[int], List[int], List[int]]
+
+
 @dataclass
 class _Job:
     """One kernel row: an encoded instance plus its resolved plan."""
@@ -139,6 +163,7 @@ class _Job:
     seq_ids: List[int]
     warm_ids: List[int]
     blocks: List[BlockId]
+    fetch_plan: Optional[_FetchPlan] = None
 
 
 @dataclass(frozen=True)
@@ -146,7 +171,8 @@ class BatchOutcome:
     """Result of one batch item: metrics plus provenance of the engine used.
 
     ``engine`` is ``"vector"`` when the kernel ran the item and ``"loop"``
-    when the item fell back to the loop engine.  ``schedule`` is only
+    when the item fell back to the loop engine, in which case
+    ``ineligibility_reason`` says why.  ``schedule`` is only
     materialised when the batch was run with ``schedules=True`` — decoding
     one :class:`TimedFetch` per fetch costs per-event Python again, so the
     throughput paths leave it off.
@@ -156,6 +182,7 @@ class BatchOutcome:
     policy_name: str
     engine: str
     schedule: Optional[Schedule] = None
+    ineligibility_reason: Optional[str] = None
 
 
 def _run_kernel(
@@ -167,7 +194,8 @@ def _run_kernel(
     The kernel maintains, for every row, the invariant that ``nub[b]`` is the
     next position ``>= cursor`` requesting block ``b`` (clamped to ``n`` when
     none remains); every policy decision of the covered algorithms is a pure
-    argmin/argmax over masked views of that table.
+    argmin/argmax over masked views of that table, plus, for Conservative,
+    the row's pointer into its MIN plan.
     """
     R = len(jobs)
     n_arr = np.array([len(j.seq_ids) for j in jobs], dtype=np.int64)
@@ -206,7 +234,7 @@ def _run_kernel(
     rescount = resident.sum(axis=1).astype(np.int64)
 
     # Per-row plan parameters.
-    kind_arr = np.array([0 if j.plan.kind == "aggressive" else 1 for j in jobs])
+    kind_arr = np.array([_KINDS.index(j.plan.kind) for j in jobs])
     d_arr = np.array([j.plan.d for j in jobs], dtype=np.int64)
     base_rank = np.arange(NB + 1, dtype=np.int64)
     tb_low = np.array([j.plan.tiebreak == "low" for j in jobs])
@@ -224,13 +252,44 @@ def _run_kernel(
     fin = np.zeros(R, dtype=np.int64)  # completion time of the in-flight fetch
     flooked = np.full(R, -1, dtype=np.int64)  # last position with a recorded first look
     flookv = np.zeros(R, dtype=bool)  # ... and whether the block was resident then
-    m_arr = np.zeros(R, dtype=np.int64)
-    tgt_arr = np.zeros(R, dtype=np.int64)  # decide-time target, reused by the serve phase
 
     sched_chunks: List[Tuple] = []
     act = n_arr > 0
     has_agg = bool((kind_arr == 0).any())
     has_del = bool((kind_arr == 1).any())
+    has_dem = bool((kind_arr == 2).any())
+    has_con = bool((kind_arr == 3).any())
+    prefetch_kind = kind_arr <= 1  # aggressive/delay: fetch ahead of the cursor
+
+    # Conservative rows walk their MIN plan: each distinct plan is stored
+    # once in flat (block, victim, earliest) arrays, and row r consumes
+    # entries pptr[r] .. pend[r]-1.  A trailing sentinel keeps pptr == pend
+    # indexable.
+    pptr = np.zeros(R, dtype=np.int64)
+    pend = np.zeros(R, dtype=np.int64)
+    segments: Dict[int, int] = {}
+    flat: List[List[int]] = [[], [], []]
+    for r, job in enumerate(jobs):
+        if job.fetch_plan is None:
+            continue
+        start = segments.get(id(job.fetch_plan))
+        if start is None:
+            start = segments[id(job.fetch_plan)] = len(flat[0])
+            for column, values in zip(flat, job.fetch_plan):
+                column.extend(values)
+        pptr[r] = start
+        pend[r] = start + len(job.fetch_plan[0])
+    pblk = np.array(flat[0] + [0], dtype=np.int64)
+    pvic = np.array(flat[1] + [-1], dtype=np.int64)
+    pear = np.array(flat[2] + [0], dtype=np.int64)
+
+    def furthest(rows: Any) -> Any:
+        """Resident block with the furthest next use, ties to the larger str.
+
+        The ``(next use, str)`` key of MIN's victim choice and of the loop
+        engine's forced demand fetch; rows must hold a resident block.
+        """
+        return np.where(resident[rows], nub[rows] * MULT + base_rank, -1).argmax(axis=1)
     max_steps = 8 * N + 64
     steps = 0
     # The hot loop works on full (R, NB+1) matrices with boolean row masks
@@ -252,20 +311,21 @@ def _run_kernel(
 
         # 2) Decision point for idle rows: fetch per the row's plan.
         # tgt = position of the next request to a non-resident block (= n
-        # when every remaining request is resident).
+        # when every remaining request is resident).  Each fetch part is a
+        # (rows, block, victim) triple; each decline part a (rows, run
+        # length) pair of rows that provably decline for that many serves.
         tgt = np.minimum(np.where(resident, BIG, nub).min(axis=1), n_arr)
-        cand_mask = act & (inc < 0) & (tgt < n_arr)
-        frows = None
-        decl_rows = None
-        decl_m = None
+        idle_mask = act & (inc < 0)
+        cand_mask = idle_mask & (tgt < n_arr)
+        fetch_parts: List[Tuple[Any, Any, Any]] = []
+        decl_parts: List[Tuple[Any, Any]] = []
+        forced_parts: List[Any] = []
         if cand_mask.any():
-            frows_parts, ftgt_parts, fvic_parts = [], [], []
-            decl_parts = []
-            fs_rows = np.nonzero(cand_mask & (rescount < k_arr))[0]
+            pf_decl = []
+            fs_rows = np.nonzero(cand_mask & prefetch_kind & (rescount < k_arr))[0]
             if fs_rows.size:
-                frows_parts.append(fs_rows)
-                ftgt_parts.append(tgt[fs_rows])
-                fvic_parts.append(np.full(fs_rows.size, -1, dtype=np.int64))
+                no_victim = np.full(fs_rows.size, -1, dtype=np.int64)
+                fetch_parts.append((fs_rows, seq2d[fs_rows, tgt[fs_rows]], no_victim))
             full_mask = cand_mask & (rescount >= k_arr)
             if has_agg:
                 agg_rows = np.nonzero(full_mask & (kind_arr == 0))[0]
@@ -274,13 +334,11 @@ def _run_kernel(
                     vid = key.argmax(axis=1)
                     vic = vid[agg_rows]
                     ok = nub[agg_rows, vic] > tgt[agg_rows]
-                    frows_parts.append(agg_rows[ok])
-                    ftgt_parts.append(tgt[agg_rows][ok])
-                    fvic_parts.append(vic[ok])
+                    fetch_parts.append((agg_rows[ok], seq2d[agg_rows, tgt[agg_rows]][ok], vic[ok]))
                     # Aggressive declines exactly when the max resident
                     # next-use is <= target, so every decline is eligible
                     # for the chunked serve below.
-                    decl_parts.append(agg_rows[~ok])
+                    pf_decl.append(agg_rows[~ok])
             if has_del:
                 del_rows = np.nonzero(full_mask & (kind_arr == 1))[0]
                 if del_rows.size:
@@ -305,9 +363,7 @@ def _run_kernel(
                     vid = key.argmax(axis=1)
                     pick = np.arange(del_rows.size)
                     ok = (adj[pick, vid] > del_tgt) & (nub[del_rows, vid] > del_tgt)
-                    frows_parts.append(del_rows[ok])
-                    ftgt_parts.append(del_tgt[ok])
-                    fvic_parts.append(vid[ok])
+                    fetch_parts.append((del_rows[ok], seq2d[del_rows, del_tgt][ok], vid[ok]))
                     dd = del_rows[~ok]
                     if dd.size:
                         # Delay's decline can also rest on the *adjusted*
@@ -316,31 +372,9 @@ def _run_kernel(
                         # already <= target (which then pins every later
                         # decision in the run to a decline as well).
                         mv = np.where(resident[dd], nub[dd], np.int64(-1)).max(axis=1)
-                        decl_parts.append(dd[mv <= tgt[dd]])
-            if frows_parts:
-                frows = np.concatenate(frows_parts)
-                if not frows.size:
-                    frows = None
-            if frows is not None:
-                ftg = np.concatenate(ftgt_parts)
-                fvic = np.concatenate(fvic_parts)
-                fblk = seq2d[frows, ftg]
-                has_vic = fvic >= 0
-                vrows = frows[has_vic]
-                resident[vrows, fvic[has_vic]] = False
-                rescount[vrows] -= 1
-                inc[frows] = fblk
-                fin[frows] = time[frows] + f_arr[frows]
-                fetches[frows] += 1
-                demand[frows] += (ftg == cursor[frows]).astype(np.int64)
-                peak[frows] = np.maximum(peak[frows], rescount[frows] + 1)
-                if want_schedules:
-                    sched_chunks.append(
-                        (frows.copy(), time[frows].copy(), fblk.copy(), fvic.copy())
-                    )
-            if decl_parts:
-                decl_rows = np.concatenate(decl_parts)
-            if decl_rows is not None and decl_rows.size:
+                        pf_decl.append(dd[mv <= tgt[dd]])
+            decl_rows = np.concatenate(pf_decl) if pf_decl else np.zeros(0, dtype=np.int64)
+            if decl_rows.size:
                 # Chunked decline runs: while every resident next-use stays
                 # <= target, the policy provably declines at every decision
                 # point, and serving position p only lifts a next-use above
@@ -357,9 +391,79 @@ def _run_kernel(
                 dpos = np.where(dvalid, dcur[:, None] + offs[None, :], 0)
                 flip = dvalid & (nxt2d[decl_rows[:, None], dpos] > dtgt[:, None])
                 hasf = flip.any(axis=1)
-                decl_m = np.where(hasf, flip.argmax(axis=1) + 1, dlen)
-            else:
-                decl_rows = None
+                decl_parts.append((decl_rows, np.where(hasf, flip.argmax(axis=1) + 1, dlen)))
+            if has_dem:
+                # Demand paging fetches only the block at the cursor; every
+                # hit before the next miss is one provable decline run.
+                dem_rows = np.nonzero(cand_mask & (kind_arr == 2))[0]
+                if dem_rows.size:
+                    miss = tgt[dem_rows] == cursor[dem_rows]
+                    forced_parts.append(dem_rows[miss])
+                    hit_rows = dem_rows[~miss]
+                    decl_parts.append((hit_rows, tgt[hit_rows] - cursor[hit_rows]))
+        if has_con:
+            con_rows = np.nonzero(idle_mask & (kind_arr == 3))[0]
+            if con_rows.size:
+                # Conservative.decide: skip due plan entries whose block is
+                # already resident, then issue the first due entry.
+                ptr = pptr[con_rows]
+                ccur = cursor[con_rows]
+                while True:
+                    due = (ptr < pend[con_rows]) & (pear[ptr] <= ccur)
+                    skip = due & resident[con_rows, pblk[ptr]]
+                    if not skip.any():
+                        break
+                    ptr = ptr + skip
+                pptr[con_rows] = ptr + due
+                if due.any():
+                    prow = con_rows[due]
+                    pq = ptr[due]
+                    vic = pvic[pq]
+                    # A planned victim already evicted (by a forced demand
+                    # fetch), or no victim for a full cache: take the
+                    # furthest resident block instead, if any.
+                    swap = np.where(
+                        vic >= 0,
+                        ~resident[prow, np.maximum(vic, 0)],
+                        rescount[prow] >= k_arr[prow],
+                    )
+                    if swap.any():
+                        srow = prow[swap]
+                        vic[swap] = np.where(rescount[srow] > 0, furthest(srow), -1)
+                    fetch_parts.append((prow, pblk[pq], vic))
+                wait = con_rows[~due]
+                if wait.size:
+                    # The cursor's block is absent: the engine forces a
+                    # demand fetch.  Otherwise the row serves until its next
+                    # entry falls due or the next miss, whichever is first.
+                    miss = tgt[wait] == cursor[wait]
+                    forced_parts.append(wait[miss])
+                    wrow, wptr = wait[~miss], ptr[~due][~miss]
+                    due_at = np.where(wptr < pend[wrow], pear[wptr], BIG)
+                    decl_parts.append((wrow, np.minimum(due_at, tgt[wrow]) - cursor[wrow]))
+        if forced_parts:
+            forced = np.concatenate(forced_parts)
+            if forced.size:
+                # Demand fetch of the cursor's block: a free slot if any,
+                # else the furthest-next-use victim (MIN's choice, and the
+                # loop engine's forced-fetch rule).
+                vic = np.where(rescount[forced] < k_arr[forced], -1, furthest(forced))
+                fetch_parts.append((forced, seq2d[forced, cursor[forced]], vic))
+        frows = np.concatenate([part[0] for part in fetch_parts] or [np.zeros(0, dtype=np.int64)])
+        if frows.size:
+            fblk = np.concatenate([part[1] for part in fetch_parts])
+            fvic = np.concatenate([part[2] for part in fetch_parts])
+            has_vic = fvic >= 0
+            vrows = frows[has_vic]
+            resident[vrows, fvic[has_vic]] = False
+            rescount[vrows] -= 1
+            inc[frows] = fblk
+            fin[frows] = time[frows] + f_arr[frows]
+            fetches[frows] += 1
+            demand[frows] += (seq2d[frows, cursor[frows]] == fblk).astype(np.int64)
+            peak[frows] = np.maximum(peak[frows], rescount[frows] + 1)
+            if want_schedules:
+                sched_chunks.append((frows, time[frows], fblk, fvic))
 
         # 3) Record the first look at the cursor (hit/miss is judged here).
         rec = np.nonzero(act & (flooked < cursor))[0]
@@ -375,7 +479,7 @@ def _run_kernel(
         #    event loop.  ``stop`` equals the decide-time target except on
         #    rows that just fetched, where the victim eviction can pull the
         #    next miss closer -- recompute only those rows.
-        if frows is None:
+        if not frows.size:
             stop = tgt
         else:
             stop = tgt.copy()
@@ -386,8 +490,8 @@ def _run_kernel(
         no_target = stop >= n_arr
         m_arr = np.where(busy_mask, np.minimum(stop - cursor, fin - time), 0)
         m_arr = np.where(idle_mask, np.where(no_target, n_arr - cursor, np.int64(1)), m_arr)
-        if decl_rows is not None:
-            m_arr[decl_rows] = decl_m
+        for rows, run in decl_parts:
+            m_arr[rows] = run
         chk = np.nonzero(idle_mask & ~no_target)[0]
         if chk.size and not np.all(
             resident[chk, seq2d[chk, cursor[chk]]]
@@ -473,8 +577,15 @@ def _run_kernel(
     return results
 
 
-def _prepare_job(instance: ProblemInstance, policy: Any) -> Optional[_Job]:
-    """Build a kernel job for ``(instance, policy)``, or ``None`` to fall back."""
+def _prepare_job(
+    instance: ProblemInstance, policy: Any, fetch_plans: Dict[Any, _FetchPlan]
+) -> Optional[_Job]:
+    """Build a kernel job for ``(instance, policy)``, or ``None`` to fall back.
+
+    ``fetch_plans`` memoises Conservative's MIN plans per ``(sequence, k,
+    initial cache)``: the rows of one workload share a sequence object
+    across fetch times, so each distinct plan is replayed once per batch.
+    """
     if instance.num_disks != 1 or instance.num_requests == 0:
         return None
     plan = _resolve_plan(instance, policy)
@@ -484,9 +595,26 @@ def _prepare_job(instance: ProblemInstance, policy: Any) -> Optional[_Job]:
     if encoded is None:
         return None
     seq_ids, warm_ids, blocks = encoded
-    # reset() resolves the reported name (Combination renames itself to the
-    # component it selected), exactly as the loop engine records it.
-    policy.reset(instance)
+    from ..algorithms.conservative import Conservative
+
+    fetch_plan = None
+    if plan.kind == "conservative":
+        key = (id(instance.sequence), instance.cache_size, instance.initial_cache)
+        fetch_plan = fetch_plans.get(key)
+        if fetch_plan is None:
+            # The plan depends on the instance alone: on_reset replays MIN.
+            planner = Conservative()
+            planner.reset(instance)
+            index = {b: i for i, b in enumerate(blocks)}
+            fetch_plan = fetch_plans[key] = (
+                [index[e.block] for e in planner._plan],
+                [-1 if e.victim is None else index[e.victim] for e in planner._plan],
+                [e.earliest_pos for e in planner._plan],
+            )
+    if type(policy) is not Conservative:
+        # reset() resolves the reported name (Combination renames itself to
+        # the component it selected), exactly as the loop engine records it.
+        policy.reset(instance)
     name = getattr(policy, "name", type(policy).__name__)
     return _Job(
         instance=instance,
@@ -495,6 +623,7 @@ def _prepare_job(instance: ProblemInstance, policy: Any) -> Optional[_Job]:
         seq_ids=seq_ids,
         warm_ids=warm_ids,
         blocks=blocks,
+        fetch_plan=fetch_plan,
     )
 
 
@@ -512,8 +641,9 @@ def run_batch(
     outcomes: List[Optional[BatchOutcome]] = [None] * len(pairs)
     jobs: List[_Job] = []
     job_slots: List[int] = []
+    fetch_plans: Dict[Any, _FetchPlan] = {}
     for slot, (instance, policy) in enumerate(pairs):
-        job = _prepare_job(instance, policy)
+        job = _prepare_job(instance, policy, fetch_plans)
         if job is not None:
             jobs.append(job)
             job_slots.append(slot)
@@ -524,6 +654,7 @@ def run_batch(
                 policy_name=result.policy_name,
                 engine="loop",
                 schedule=result.schedule if schedules else None,
+                ineligibility_reason=ineligibility_reason(instance, policy),
             )
     if jobs:
         for slot, job, (metrics, schedule) in zip(
@@ -580,7 +711,7 @@ def simulate_vector(
     a duplicate simulation.  The returned result carries an *empty* event
     log; schedule and metrics are identical to the loop engine's.
     """
-    job = _prepare_job(instance, policy)
+    job = _prepare_job(instance, policy, {})
     if job is None:
         return None
     from .executor import SimulationResult

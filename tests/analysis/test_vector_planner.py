@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import logging
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import TunedConservative
 from repro.analysis import runner as runner_module
 from repro.analysis.runner import (
     MAX_VECTOR_BATCH,
@@ -106,14 +108,26 @@ def test_oversized_buckets_chunk_at_the_batch_ceiling():
 
 def test_ineligible_points_run_per_point():
     """Uncovered families and parallel-disk points never enter a bucket."""
-    spec = _spec(algorithms=("aggressive", "conservative"), seeds=tuple(range(8)))
+    spec = _spec(
+        algorithms=("aggressive", "demand", "demand:evict=min", "demand:evict=lru",
+                    "demand:evict=fifo"),
+        seeds=tuple(range(8)),
+    )
     units = _plan_execution_units(_pending(spec))
     kinds = {}
     for kind, items in units:
         for _position, point, _key in items:
             kinds.setdefault(point.algorithm, set()).add(kind)
-    assert kinds["aggressive"] == {"simbatch"}
-    assert kinds["conservative"] == {"sim"}
+    # Only demand paging with the MIN backend has a kernel plan.
+    assert kinds == {
+        "aggressive": {"simbatch"},
+        "demand": {"simbatch"},
+        "demand:evict=min": {"simbatch"},
+        "demand:evict=lru": {"sim"},
+        "demand:evict=fifo": {"sim"},
+    }
+    parallel = _spec(algorithms=("parallel-aggressive",), disks=(2,), seeds=tuple(range(8)))
+    assert {kind for kind, _items in _plan_execution_units(_pending(parallel))} == {"sim"}
 
 
 # -- runner equivalence ------------------------------------------------------------
@@ -133,7 +147,7 @@ def test_run_experiments_vector_matches_loop_modulo_engine():
     """Batched grid output == serial loop grid output, in the same order."""
     grid = dict(
         workloads=("zipf:n=40,blocks=10",),
-        algorithms=("aggressive", "delay:d=3", "conservative"),
+        algorithms=("aggressive", "delay:d=3", "conservative", "demand:evict=lru"),
         seeds=tuple(range(9)),
     )
     loop = run_experiments(_spec(engine="loop", **grid))
@@ -144,7 +158,32 @@ def test_run_experiments_vector_matches_loop_modulo_engine():
         by_algorithm.setdefault(record.algorithm_spec, set()).add(record.engine)
     assert by_algorithm["aggressive"] == {"vector"}
     assert by_algorithm["delay:d=3"] == {"vector"}
-    assert by_algorithm["conservative"] == {"loop"}  # per-point fallback
+    assert by_algorithm["conservative"] == {"vector"}
+    assert by_algorithm["demand:evict=lru"] == {"loop"}  # per-point fallback
+
+
+def test_batch_fallbacks_log_their_reason(monkeypatch, caplog):
+    """A batch row the kernel cannot run logs why, as a per-point fallback does."""
+
+    make = runner_module.make_algorithm
+    monkeypatch.setattr(
+        runner_module,
+        "make_algorithm",
+        lambda spec: TunedConservative() if spec == "conservative" else make(spec),
+    )
+    points = tuple(_spec(algorithms=("aggressive", "conservative"), seeds=(0, 1)).points())
+    with caplog.at_level(logging.DEBUG, logger=runner_module.__name__):
+        records = runner_module._evaluate_batch(points)
+    assert [(r.algorithm_spec, r.engine) for r in records] == [
+        (p.algorithm, "vector" if p.algorithm == "aggressive" else "loop") for p in points
+    ]
+    logged = [r.getMessage() for r in caplog.records if "ineligible" in r.getMessage()]
+    assert len(logged) == 2
+    for message, point in zip(logged, [p for p in points if p.algorithm == "conservative"]):
+        assert message == (
+            f"point [{point.describe()}]: vector engine ineligible, ran loop: "
+            "no vector kernel plan for policy 'conservative'"
+        )
 
 
 # -- engine selection --------------------------------------------------------------
@@ -164,28 +203,28 @@ def test_mixed_grid_forms_one_batch_per_workload_shape():
         workloads=("zipf:n=40,blocks=10", "loop:blocks=6,loops=4"),
         cache_sizes=(4, 6),
         fetch_times=(3, 5),
-        algorithms=("aggressive", "delay:d=3", "combination", "conservative", "demand"),
+        algorithms=(
+            "aggressive", "delay:d=3", "combination", "conservative", "demand", "demand:evict=lru"
+        ),
         seeds=tuple(range(3)),
         engine="auto",
     )
     units = _plan_execution_units(_pending(_spec(**grid)))
     batches = [items for kind, items in units if kind == "simbatch"]
-    # zipf: 3 seeds x 2 k x 2 F x 3 covered algorithms; loop (unseeded): 2 x 2 x 3.
-    assert sorted(len(items) for items in batches) == [12, 36]
+    # zipf: 3 seeds x 2 k x 2 F x 5 covered algorithms; loop (unseeded): 2 x 2 x 5.
+    assert sorted(len(items) for items in batches) == [20, 60]
     for items in batches:
         assert len({point.workload.split(":")[0] for _p, point, _k in items}) == 1
     ineligible = [items[0][1] for kind, items in units if kind == "sim"]
-    assert {point.algorithm for point in ineligible} == {"conservative", "demand"}
+    assert {point.algorithm for point in ineligible} == {"demand:evict=lru"}
 
     loop = run_experiments(_spec(**dict(grid, engine="loop")))
     auto = run_experiments(_spec(**grid))
     assert _normalized(auto) == _normalized(loop)
-    assert {r.engine for r in auto.records if r.algorithm_spec in ("conservative", "demand")} == {
-        "loop"
+    assert {r.engine for r in auto.records if r.algorithm_spec == "demand:evict=lru"} == {"loop"}
+    assert {r.engine for r in auto.records if r.algorithm_spec != "demand:evict=lru"} == {
+        "vector"
     }
-    assert {
-        r.engine for r in auto.records if r.algorithm_spec not in ("conservative", "demand")
-    } == {"vector"}
 
 
 def test_instance_kind_buckets_never_mix_lengths():

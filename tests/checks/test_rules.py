@@ -368,6 +368,55 @@ class TestEngineParity:
         message = findings[0].message
         assert "delay" in message and "conservative" in message
 
+    REGISTRY = """
+        _def("aggressive", "prefetch as early as possible", Aggressive)
+        _def("conservative", "MIN's replacements", Conservative)
+        _def("demand", "no prefetching", DemandFetch, [], kind="baseline")
+    """
+    VECTOR_MIN = """
+        def _resolve_plan(instance, policy):
+            if type(policy) is Aggressive:
+                return "aggressive"
+            if type(policy) is Conservative:
+                return "conservative"
+            if type(policy) is DemandFetch and type(policy._policy) is BeladyMIN:
+                return "demand"
+            return None
+    """
+
+    def test_registry_names_kernel_classes(self, tmp_path):
+        """DemandFetch is family ``demand``; the unregistered BeladyMIN is no family."""
+        findings = check_project(
+            "engine-parity",
+            {
+                "analysis/runner.py": (
+                    '_VECTOR_FAMILIES = frozenset({"aggressive", "conservative", "demand"})'
+                ),
+                "disksim/vector.py": self.VECTOR_MIN,
+                "algorithms/registry.py": self.REGISTRY,
+            },
+            tmp_path,
+        )
+        assert findings == []
+
+    def test_registry_family_drift_flagged_both_directions(self, tmp_path):
+        findings = check_project(
+            "engine-parity",
+            {
+                "analysis/runner.py": (
+                    '_VECTOR_FAMILIES = frozenset({"aggressive", "demand", "delay"})'
+                ),
+                "disksim/vector.py": self.VECTOR_MIN,
+                "algorithms/registry.py": self.REGISTRY,
+            },
+            tmp_path,
+        )
+        assert len(findings) == 1
+        message = findings[0].message
+        assert "kernel covers conservative but the planner never batches" in message
+        assert "planner marks delay eligible but the kernel cannot run" in message
+        assert "demandfetch" not in message.lower() and "beladymin" not in message.lower()
+
     def test_missing_anchor_flagged(self, tmp_path):
         findings = check_project(
             "engine-parity",

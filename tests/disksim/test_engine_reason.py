@@ -8,7 +8,7 @@ silently ran 10x slower than expected is diagnosable from the debug log.
 
 from __future__ import annotations
 
-from helpers import random_instance
+from helpers import TunedConservative, random_instance
 from repro.algorithms import make_algorithm
 from repro.disksim import ineligibility_reason, simulate_with_engine
 
@@ -32,10 +32,13 @@ def test_auto_on_parallel_instance_reports_reason():
 
 def test_ineligibility_reason_matches_plan_coverage():
     instance = random_instance(0)
-    # Conservative has no vector kernel plan; Aggressive does.
-    reason = ineligibility_reason(instance, make_algorithm("conservative"))
-    assert reason is not None and "no vector kernel plan" in reason
-    assert ineligibility_reason(instance, make_algorithm("aggressive")) is None
+    # LRU demand paging and Conservative subclasses have no vector kernel
+    # plan; Aggressive, Conservative and MIN demand paging do.
+    for policy in (make_algorithm("demand:evict=lru"), TunedConservative()):
+        reason = ineligibility_reason(instance, policy)
+        assert reason is not None and "no vector kernel plan" in reason
+    for spec in ("aggressive", "conservative", "demand"):
+        assert ineligibility_reason(instance, make_algorithm(spec)) is None
 
     parallel = random_instance(151, parallel=True)
     assert (

@@ -12,8 +12,14 @@ from __future__ import annotations
 import random
 from typing import List, Optional
 
+from repro.algorithms import Conservative
 from repro.disksim import DiskLayout, ProblemInstance
 from repro.workloads import uniform_random, zipf
+
+
+class TunedConservative(Conservative):
+    """A Conservative subclass: it may override ``decide``, so the vector
+    kernel never claims it and it always runs on the loop engine."""
 
 
 def random_single_instances(count: int = 4, *, max_requests: int = 40) -> List[ProblemInstance]:

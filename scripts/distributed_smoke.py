@@ -6,12 +6,14 @@ SIGKILL:
 
 1. start ``repro coordinator`` as a subprocess serving a 16-point grid on a
    free port (short lease timeout so a killed worker's chunks re-issue fast),
-2. attach three ``repro worker`` subprocesses — one slowed with
-   ``--fault-delay`` so it reliably holds a lease mid-sweep,
-3. ``SIGKILL`` the slow worker while the sweep is in flight (poll
-   ``/status`` until it holds a lease),
-4. wait for the coordinator to finish: zero lost points — the grid
-   completes, the surviving workers exit cleanly,
+2. attach the victim ``repro worker`` alone, slowed with ``--fault-delay``
+   so it holds its lease long after evaluating its chunk,
+3. ``SIGKILL`` the victim once ``/status`` shows it holding the lease (the
+   grid may be a single chunk: the default engine stacks it into one
+   kernel pass, so the victim must be the only worker when it leases),
+4. attach two surviving workers, which inherit the expired lease, and wait
+   for the coordinator to finish: zero lost points — the grid completes,
+   the surviving workers exit cleanly,
 5. warm re-run the same grid through plain ``repro sweep`` against the same
    run store and assert every point is a cache hit (``0 simulated``).
 
@@ -117,14 +119,12 @@ def main() -> None:
     workers = {}
     try:
         wait_for_coordinator(port, coordinator)
-        # The victim stalls before every completion POST, so it reliably
-        # holds a live lease when the SIGKILL lands.
-        workers["w-victim"] = start_worker(port, "w-victim", "--fault-delay", "0.3")
-        workers["w-1"] = start_worker(port, "w-1")
-        workers["w-2"] = start_worker(port, "w-2")
+        # The victim attaches alone and stalls before every completion POST,
+        # so it leases the first chunk and still holds it when the SIGKILL
+        # lands.
+        workers["w-victim"] = start_worker(port, "w-victim", "--fault-delay", "30")
 
-        # Kill the victim once the sweep is genuinely in flight: it holds a
-        # lease (or has completed a chunk) and the grid is not done yet.
+        # Kill the victim once it holds a lease on the running sweep.
         killed = False
         deadline = time.monotonic() + 60
         while time.monotonic() < deadline:
@@ -135,11 +135,7 @@ def main() -> None:
             except (urllib.error.URLError, ConnectionError):
                 break
             victim = status.get("workers", {}).get("w-victim", {})
-            in_flight = (
-                victim.get("active_chunk") is not None
-                or victim.get("completed_chunks", 0) > 0
-            )
-            if in_flight and status["state"] == "running" and not killed:
+            if victim.get("active_chunk") is not None and status["state"] == "running":
                 try:
                     workers["w-victim"].send_signal(signal.SIGKILL)
                 except ProcessLookupError:
@@ -149,6 +145,21 @@ def main() -> None:
                 break
             time.sleep(0.05)
         expect(killed, "victim worker never held a lease before the sweep finished")
+        # The survivors find the victim's lease held until it expires, then
+        # finish the grid.
+        workers["w-1"] = start_worker(port, "w-1")
+        workers["w-2"] = start_worker(port, "w-2")
+        reissued = 0
+        while coordinator.poll() is None:
+            try:
+                status = get_status(port)
+            except (urllib.error.URLError, ConnectionError):
+                break
+            reissued = status["reissued_leases"]
+            if status["state"] == "done":
+                break
+            time.sleep(0.05)
+        expect(reissued >= 1, "the killed victim's lease was never re-issued")
 
         code = coordinator.wait(timeout=120)
         output = coordinator.stdout.read()

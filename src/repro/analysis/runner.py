@@ -120,6 +120,10 @@ class ExperimentSpec:
     per instance, method ``optimum_method`` for multi-disk instances) and
     attaches ``optimal_stall``/``optimal_elapsed``/solve wall time to every
     record, turning the grid into a ratio experiment.
+
+    ``engine`` defaults to ``vector``: the planner stacks covered same-shape
+    points into kernel passes and runs the rest on the loop engine, with
+    records identical to ``loop``'s apart from their ``engine`` field.
     """
 
     name: str
@@ -130,7 +134,7 @@ class ExperimentSpec:
     disks: Tuple[int, ...] = (1,)
     seeds: Tuple[Optional[int], ...] = (None,)
     layouts: Tuple[str, ...] = ("striped",)
-    engine: str = "loop"
+    engine: str = "vector"
     backend: str = "auto"
     compute_optimum: bool = False
     optimum_method: str = "auto"
@@ -138,7 +142,8 @@ class ExperimentSpec:
     def __post_init__(self):
         SolverConfig(method=self.optimum_method)  # validate eagerly
         resolve_backend_name(self.backend, 0)  # reject unknown backends here
-        canonical_engine(self.engine)  # reject unknown engines here
+        # Reject unknown engines here; "auto" is stored as "vector".
+        object.__setattr__(self, "engine", canonical_engine(self.engine))
         for axis in (
             "workloads", "cache_sizes", "fetch_times", "algorithms",
             "disks", "seeds", "layouts",
@@ -205,9 +210,12 @@ class ExperimentPoint:
     disks: int = 1
     layout: str = "striped"
     algorithm: str = "aggressive"
-    engine: str = "loop"
+    engine: str = "vector"
     label: Optional[str] = None
     instance: Optional[ProblemInstance] = field(default=None, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "engine", canonical_engine(self.engine))
 
     def build_instance(self) -> ProblemInstance:
         """The problem instance of this point (built or passed through)."""
@@ -284,7 +292,9 @@ def point_cache_key(point: ExperimentPoint) -> str:
     """Store key of a point: instance identity x canonical algorithm x engine.
 
     The algorithm identity is the *canonical* spec, so ``delay:3`` and
-    ``delay:d=3`` share entries.
+    ``delay:d=3`` share entries; the engine is the canonical requested one,
+    so ``auto`` and ``vector`` requests share entries while a ``loop`` run
+    keeps its own (its records say ``"engine": "loop"``).
     """
     algorithm = canonicalize_algorithm_spec(point.algorithm)
     return hashlib.sha256(
@@ -534,7 +544,7 @@ def _stack_rows(point: ExperimentPoint) -> int:
     return max(MIN_VECTOR_BATCH, min(MAX_VECTOR_BATCH, MAX_VECTOR_CELLS // max(1, length)))
 
 
-def _plan_execution_units(pending):
+def _plan_execution_units(pending, workers: int = 1):
     """Group pending ``(position, point, key)`` triples into execution units.
 
     Returns ``[(kind, items), ...]`` where ``kind`` is ``"sim"`` (one item,
@@ -546,13 +556,16 @@ def _plan_execution_units(pending):
     Buckets smaller than :data:`MIN_VECTOR_BATCH` are demoted to per-point
     tasks; larger ones are chunked at :data:`MAX_VECTOR_BATCH` rows or
     :data:`MAX_VECTOR_CELLS` rows x requests (the length of the bucket's
-    first instance), whichever is fewer rows.
+    first instance), whichever is fewer rows.  With ``workers > 1`` a
+    bucket is instead split evenly into up to ``workers`` shards of at
+    least :data:`MIN_VECTOR_BATCH` rows, so a parallel backend has one
+    kernel pass per worker to run; the row cap still applies.
     """
     units = []
     buckets: Dict[str, List] = {}
     for item in pending:
         _position, point, _key = item
-        if point.engine in ("vector", "auto") and _vector_eligible(point):
+        if point.engine == "vector" and _vector_eligible(point):
             bucket = _vector_bucket_key(point)
             group = buckets.get(bucket)
             if group is None:
@@ -568,6 +581,13 @@ def _plan_execution_units(pending):
             planned.extend(("sim", [item]) for item in items)
             continue
         rows = _stack_rows(items[0][1])
+        shards = min(workers, len(items) // MIN_VECTOR_BATCH)
+        if shards > 1 and -(-len(items) // shards) <= rows:
+            bounds = [len(items) * shard // shards for shard in range(shards + 1)]
+            planned.extend(
+                ("simbatch", items[start:end]) for start, end in zip(bounds, bounds[1:])
+            )
+            continue
         planned.extend(
             ("simbatch", items[start:start + rows]) for start in range(0, len(items), rows)
         )
@@ -656,7 +676,7 @@ def _execute_points(
     # in-memory cache, `solves` accounting) is right there — route the
     # solves through it directly instead of opening a store per task.
     direct_optimum = optimum is not None and isinstance(backend, SerialBackend)
-    units = _plan_execution_units(pending)
+    units = _plan_execution_units(pending, backend.workers)
     tasks: List[Tuple[str, object]] = [
         ("sim", items[0][1]) if kind == "sim"
         else ("simbatch", tuple(item[1] for item in items))
@@ -871,7 +891,7 @@ def evaluate_instances(
     *,
     workers: int = 0,
     backend="auto",
-    engine: str = "loop",
+    engine: str = "vector",
     cache_dir=None,
     store: Optional[RunStore] = None,
     compute_optimum: bool = False,

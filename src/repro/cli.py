@@ -148,15 +148,15 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=sorted(LAYOUT_BUILDERS),
                        help="block placement when --disks > 1")
 
-    _ENGINE_CHOICES = ["auto", "loop", "scan", "vector"]
+    _ENGINE_CHOICES = ["loop", "scan", "vector"]
 
     p_sim = sub.add_parser("simulate", help="run one algorithm and print metrics")
     add_common(p_sim)
     p_sim.add_argument("--algorithm", "-a", default="aggressive")
     p_sim.add_argument("--engine", default="loop", choices=_ENGINE_CHOICES,
-                       help="simulation engine (loop = the indexed event loop; "
-                       "vector = the numpy batch kernel, falling back to loop "
-                       "where uncovered; auto = vector when available)")
+                       help="simulation engine (loop = the indexed event loop, "
+                       "fastest for one instance; vector = the numpy batch "
+                       "kernel, falling back to loop where uncovered)")
     p_sim.add_argument("--gantt", action="store_true", help="print an ASCII Gantt chart")
     p_sim.add_argument("--timeline", action="store_true", help="print the event timeline")
 
@@ -202,11 +202,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--backend", default="auto", choices=BACKEND_NAMES,
                        help="execution backend for the grid points "
                        "(auto = serial at workers<=1, process fan-out otherwise)")
-        p.add_argument("--engine", default="loop",
+        p.add_argument("--engine", default="vector",
                        choices=_ENGINE_CHOICES,
-                       help="simulation engine; vector/auto let the planner "
+                       help="simulation engine; vector (default) lets the planner "
                        "stack same-shape points into batched kernel passes "
-                       "(uncovered points fall back to the loop engine)")
+                       "(uncovered points fall back to the loop engine) and "
+                       "records \"engine\": \"vector\"; loop runs every point "
+                       "on the event loop")
         p.add_argument("--cache-dir", default=None,
                        help="directory for the run store (a single SQLite file, "
                        "runs.sqlite, holding records, optima and sweep manifests)")

@@ -93,18 +93,21 @@ class HorizonExhausted(Exception):
     than a :class:`~repro.errors.ReproError`.
     """
 
-_ENGINES = ("loop", "scan", "vector", "auto")
+_ENGINES = ("loop", "scan", "vector")
 
 
 def canonical_engine(engine: str) -> str:
-    """Validate an engine name and return it.
+    """Validate an engine name and return its canonical form.
 
     ``"loop"`` is the indexed event loop, ``"scan"`` the scan-query
-    reference implementation, ``"vector"`` the numpy struct-of-arrays batch
-    engine and ``"auto"`` picks the fastest applicable engine at run time
-    (vector when the instance/policy is covered, loop otherwise).  Raises
+    reference implementation and ``"vector"`` the numpy struct-of-arrays
+    batch engine, which runs the kernel where the instance/policy is covered
+    and the loop otherwise.  The legacy spelling ``"auto"`` meant exactly
+    that and canonicalises to ``"vector"``.  Raises
     :class:`~repro.errors.ConfigurationError` for anything else.
     """
+    if engine == "auto":
+        return "vector"
     if engine not in _ENGINES:
         raise ConfigurationError(
             f"unknown engine {engine!r}; expected one of {_ENGINES}"
@@ -339,8 +342,7 @@ class SimulationResult:
     events: EventLog
     policy_name: str = ""
     #: Why the vector kernel was *not* used when the caller asked for
-    #: ``engine="auto"`` or ``engine="vector"`` and the run fell back to the
-    #: loop engine (e.g. ``"parallel-disk instance"``).  ``None`` when the
+    #: ``engine="vector"`` and the run fell back to the loop engine (e.g. ``"parallel-disk instance"``).  ``None`` when the
     #: requested engine ran, so engine choice is explainable from the result.
     engine_reason: Optional[str] = None
 
@@ -374,10 +376,9 @@ class _EngineState:
     With ``engine="loop"`` (the indexed event loop) the state owns the
     per-instance :class:`SequenceIndex` (built once, cached across runs) and
     an :class:`EvictionHeap` mirroring the resident set, maintained
-    incrementally by the fetch lifecycle methods below.  ``"vector"`` and
-    ``"auto"`` degrade to ``"loop"`` here: the event loop is the replay/
-    fallback engine the vector kernel defers to for anything it does not
-    cover.
+    incrementally by the fetch lifecycle methods below.  ``"vector"``
+    degrades to ``"loop"`` here: the event loop is the replay/fallback
+    engine the vector kernel defers to for anything it does not cover.
     """
 
     #: True while the state belongs to an *open* request stream (set by the
@@ -387,7 +388,7 @@ class _EngineState:
 
     def __init__(self, instance: ProblemInstance, capacity: int, engine: str = "loop") -> None:
         engine = canonical_engine(engine)
-        if engine in ("vector", "auto"):
+        if engine == "vector":
             engine = "loop"
         self.instance = instance
         self.cache = CacheState(capacity, instance.initial_cache)
@@ -921,8 +922,7 @@ def simulate(
     query by scanning the sequence, exactly as the seed engine did;
     ``"vector"`` runs the numpy struct-of-arrays kernel of
     :mod:`repro.disksim.vector` (falling back to the loop for
-    instances/policies it does not cover); ``"auto"`` is
-    vector-when-possible, loop otherwise.  All engines produce identical
+    instances/policies it does not cover).  All engines produce identical
     schedules and metrics — the equivalence suites assert this.
     """
     result, _ = simulate_with_engine(instance, policy, engine=engine)
@@ -942,13 +942,12 @@ def simulate_with_engine(
     ``"scan"`` or ``"vector"``) — callers recording provenance (the sweep
     runner's :class:`~repro.analysis.results.RunRecord`) need the realised
     engine, not the requested one, because ``"vector"`` silently falls back
-    to the loop for uncovered instances/policies and ``"auto"`` resolves at
-    run time.  A fallback records why the kernel could not run in the
+    to the loop for uncovered instances/policies.  A fallback records why the kernel could not run in the
     result's ``engine_reason``.
     """
     engine = canonical_engine(engine)
     reason: Optional[str] = None
-    if engine in ("vector", "auto"):
+    if engine == "vector":
         from . import vector as _vector
 
         result = _vector.simulate_vector(instance, policy)

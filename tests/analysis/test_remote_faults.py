@@ -52,8 +52,13 @@ def _boom_on_7(value: int) -> int:
     return value
 
 
-def _grid_spec() -> ExperimentSpec:
-    """The 60-point grid every equivalence property runs: 2 x 3 x 2 x 5."""
+def _grid_spec(engine: str = "loop") -> ExperimentSpec:
+    """The 60-point grid every equivalence property runs: 2 x 3 x 2 x 5.
+
+    The fault drills pin the loop engine: they need one task per point, so
+    that chunks of 4 give 15 leases to kill, drop and duplicate.  The
+    default engine stacks each workload shape into one kernel pass.
+    """
     return ExperimentSpec(
         name="fault-grid",
         workloads=("zipf:n=30,blocks=10", "zipf:n=24,blocks=8,skew=0.9"),
@@ -61,6 +66,7 @@ def _grid_spec() -> ExperimentSpec:
         cache_sizes=(3, 4),
         fetch_times=(3,),
         algorithms=("aggressive", "demand", "conservative", "combination", "delay:d=2"),
+        engine=engine,
     )
 
 
@@ -70,10 +76,10 @@ def _run_rows(db_path) -> list:
         return sorted(conn.execute("SELECT key, record FROM runs").fetchall())
 
 
-def _serial_rows(tmp_path) -> list:
+def _serial_rows(tmp_path, spec=None) -> list:
     """Rows of a fresh serial run of the grid (the reference bytes)."""
     serial_dir = tmp_path / "serial"
-    run_experiments(_grid_spec(), backend="serial", cache_dir=serial_dir)
+    run_experiments(spec or _grid_spec(), backend="serial", cache_dir=serial_dir)
     return _run_rows(store_path_for(serial_dir))
 
 
@@ -425,3 +431,24 @@ class TestFaultInjectionProperties:
         assert resumed.cached_points == len(first_rows)
         assert resumed.simulated_points == 60 - len(first_rows)
         assert _run_rows(store_path_for(cache_dir)) == _serial_rows(tmp_path)
+
+    def test_default_engine_shards_run_to_serial_bytes(self, tmp_path):
+        """Two workers on the default engine: one kernel shard per worker."""
+        spec = _grid_spec(engine=ExperimentSpec.engine)
+        cache_dir = tmp_path / "remote"
+        backend = RemoteBackend(2, lease_timeout=5.0)
+        url = backend.start()
+        threads = _start_workers(url, [None, None])
+        try:
+            run_experiments(spec, backend=backend, cache_dir=cache_dir)
+            for thread in threads:
+                thread.join(timeout=60)
+            status = backend.coordinator.status()
+        finally:
+            backend.close()
+        assert status["state"] == "done"
+        # Two workload shapes of 30 points, each split into two 15-row shards.
+        assert status["chunks"]["total"] == 4
+        rows = _run_rows(store_path_for(cache_dir))
+        assert len(rows) == 60
+        assert rows == _serial_rows(tmp_path, spec)

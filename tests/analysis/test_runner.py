@@ -11,7 +11,9 @@ from repro.analysis.runner import (
     ExperimentSpec,
     evaluate_instances,
     instance_fingerprint,
+    point_cache_key,
     run_experiments,
+    sweep_key_for,
 )
 from repro.disksim import ProblemInstance
 from repro.errors import ConfigurationError, PointEvaluationError
@@ -189,6 +191,36 @@ class TestRun:
             evaluate_instances(
                 [("paper", single_disk_example())], ["aggressive"], engine="turbo"
             )
+
+
+class TestEngineDefault:
+    """Grids default to the vector planner; ``auto`` is its legacy spelling."""
+
+    def test_grid_entry_points_default_to_vector(self):
+        assert _small_spec().engine == "vector"
+        assert ExperimentPoint(workload="zipf:n=40,blocks=10").engine == "vector"
+        run = evaluate_instances([("paper", single_disk_example())], ["aggressive"])
+        assert [record.engine for record in run.records] == ["vector"]
+
+    def test_auto_shares_point_and_sweep_keys_with_vector(self):
+        auto, vector = _small_spec(engine="auto"), _small_spec(engine="vector")
+        assert auto == vector
+        assert [point_cache_key(p) for p in auto.points()] == [
+            point_cache_key(p) for p in vector.points()
+        ]
+        assert sweep_key_for(auto) == sweep_key_for(vector)
+        assert sweep_key_for(auto) != sweep_key_for(_small_spec(engine="loop"))
+
+    def test_default_rerun_into_a_vector_store_is_all_hits(self, tmp_path):
+        first = run_experiments(_small_spec(engine="vector"), cache_dir=tmp_path)
+        assert first.cached_points == 0
+        again = run_experiments(_small_spec(), cache_dir=tmp_path)
+        assert again.cached_points == len(again.records) == 8
+        assert again.to_json() == first.to_json()
+        # A loop run keeps entries of its own: its records say "loop".
+        loop = run_experiments(_small_spec(engine="loop"), cache_dir=tmp_path)
+        assert loop.cached_points == 0
+        assert {record.engine for record in loop.records} == {"loop"}
 
 
 class TestWorkerFailures:

@@ -421,6 +421,23 @@ class TestBenchCommand:
         assert '"vector"' in vector_text
         assert vector_text.replace('"vector"', '"loop"') == loop_text
 
+    def test_grid_commands_default_to_the_vector_engine(self, capsys, tmp_path):
+        default_json = tmp_path / "default.json"
+        vector_json = tmp_path / "vector.json"
+        base = ["sweep", "-w", "zipf:n=40,blocks=10", "-k", "6", "-F", "3",
+                "-a", "aggressive;conservative;demand:evict=lru"]
+        assert main(base + ["--json", str(default_json)]) == 0
+        assert main(base + ["--engine", "vector", "--json", str(vector_json)]) == 0
+        assert default_json.read_text() == vector_json.read_text()
+        assert '"engine": "vector"' in default_json.read_text()
+        parser = build_parser()
+        assert parser.parse_args(["simulate"]).engine == "loop"
+        for command in ("sweep", "ratios", "coordinator"):
+            assert parser.parse_args([command]).engine == "vector"
+        with pytest.raises(SystemExit):
+            main(base + ["--engine", "auto"])
+        assert "invalid choice: 'auto'" in capsys.readouterr().err
+
 
 class TestServeCommand:
     def test_replay_matches_offline(self, capsys):

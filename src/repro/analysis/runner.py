@@ -122,8 +122,8 @@ class ExperimentSpec:
     record, turning the grid into a ratio experiment.
 
     ``engine`` defaults to ``vector``: the planner stacks covered same-shape
-    points into kernel passes and runs the rest on the loop engine, with
-    records identical to ``loop``'s apart from their ``engine`` field.
+    points into kernel passes and runs uncovered points on the loop engine,
+    with records identical to ``loop``'s apart from their ``engine`` field.
     """
 
     name: str
@@ -544,7 +544,7 @@ def _stack_rows(point: ExperimentPoint) -> int:
     return max(MIN_VECTOR_BATCH, min(MAX_VECTOR_BATCH, MAX_VECTOR_CELLS // max(1, length)))
 
 
-def _plan_execution_units(pending, workers: int = 1):
+def _plan_execution_units(pending):
     """Group pending ``(position, point, key)`` triples into execution units.
 
     Returns ``[(kind, items), ...]`` where ``kind`` is ``"sim"`` (one item,
@@ -556,10 +556,7 @@ def _plan_execution_units(pending, workers: int = 1):
     Buckets smaller than :data:`MIN_VECTOR_BATCH` are demoted to per-point
     tasks; larger ones are chunked at :data:`MAX_VECTOR_BATCH` rows or
     :data:`MAX_VECTOR_CELLS` rows x requests (the length of the bucket's
-    first instance), whichever is fewer rows.  With ``workers > 1`` a
-    bucket is instead split evenly into up to ``workers`` shards of at
-    least :data:`MIN_VECTOR_BATCH` rows, so a parallel backend has one
-    kernel pass per worker to run; the row cap still applies.
+    first instance), whichever is fewer rows.
     """
     units = []
     buckets: Dict[str, List] = {}
@@ -581,13 +578,6 @@ def _plan_execution_units(pending, workers: int = 1):
             planned.extend(("sim", [item]) for item in items)
             continue
         rows = _stack_rows(items[0][1])
-        shards = min(workers, len(items) // MIN_VECTOR_BATCH)
-        if shards > 1 and -(-len(items) // shards) <= rows:
-            bounds = [len(items) * shard // shards for shard in range(shards + 1)]
-            planned.extend(
-                ("simbatch", items[start:end]) for start, end in zip(bounds, bounds[1:])
-            )
-            continue
         planned.extend(
             ("simbatch", items[start:start + rows]) for start in range(0, len(items), rows)
         )
@@ -676,7 +666,7 @@ def _execute_points(
     # in-memory cache, `solves` accounting) is right there — route the
     # solves through it directly instead of opening a store per task.
     direct_optimum = optimum is not None and isinstance(backend, SerialBackend)
-    units = _plan_execution_units(pending, backend.workers)
+    units = _plan_execution_units(pending)
     tasks: List[Tuple[str, object]] = [
         ("sim", items[0][1]) if kind == "sim"
         else ("simbatch", tuple(item[1] for item in items))

@@ -460,9 +460,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     instance = _make_instance(args)
+    # One instance never fills a kernel batch; the loop runs it fastest.
     results = evaluate_instances(
         [(instance.describe(), instance)],
         _split_specs(args.algorithms),
+        engine="loop",
         compute_optimum=True,
         cache_dir=args.cache_dir,
     )

@@ -432,8 +432,8 @@ class TestFaultInjectionProperties:
         assert resumed.simulated_points == 60 - len(first_rows)
         assert _run_rows(store_path_for(cache_dir)) == _serial_rows(tmp_path)
 
-    def test_default_engine_shards_run_to_serial_bytes(self, tmp_path):
-        """Two workers on the default engine: one kernel shard per worker."""
+    def test_default_engine_runs_to_serial_bytes(self, tmp_path):
+        """Two workers on the default engine: one kernel pass per workload shape."""
         spec = _grid_spec(engine=ExperimentSpec.engine)
         cache_dir = tmp_path / "remote"
         backend = RemoteBackend(2, lease_timeout=5.0)
@@ -447,8 +447,8 @@ class TestFaultInjectionProperties:
         finally:
             backend.close()
         assert status["state"] == "done"
-        # Two workload shapes of 30 points, each split into two 15-row shards.
-        assert status["chunks"]["total"] == 4
+        # Two workload shapes of 30 points, each one 30-row kernel pass.
+        assert status["chunks"]["total"] == 2
         rows = _run_rows(store_path_for(cache_dir))
         assert len(rows) == 60
         assert rows == _serial_rows(tmp_path, spec)

@@ -62,10 +62,9 @@ def _pending(spec):
     ),
     num_seeds=st.integers(min_value=1, max_value=12),
     engine=st.sampled_from(["vector", "auto", "loop"]),
-    workers=st.integers(min_value=1, max_value=4),
 )
 def test_every_pending_point_lands_in_exactly_one_unit(
-    workloads, cache_sizes, algorithms, num_seeds, engine, workers
+    workloads, cache_sizes, algorithms, num_seeds, engine
 ):
     """Property: the planner partitions the grid — no point dropped, none duplicated."""
     spec = _spec(
@@ -76,7 +75,7 @@ def test_every_pending_point_lands_in_exactly_one_unit(
         engine=engine,
     )
     pending = _pending(spec)
-    units = _plan_execution_units(pending, workers)
+    units = _plan_execution_units(pending)
     flattened = [item for _kind, items in units for item in items]
     assert sorted(position for position, _p, _k in flattened) == list(range(len(pending)))
     assert {id(item) for item in flattened} == {id(item) for item in pending}
@@ -98,23 +97,6 @@ def test_small_buckets_demote_to_per_point_tasks():
     spec = _spec(seeds=tuple(range(MIN_VECTOR_BATCH)))
     units = _plan_execution_units(_pending(spec))
     assert [kind for kind, _items in units] == ["simbatch"]
-
-
-def test_parallel_backends_shard_each_bucket_per_worker():
-    """At 2 workers a 30-row bucket runs as two 15-row passes, same records."""
-    spec = _spec(seeds=tuple(range(30)))
-    pending = _pending(spec)
-    assert [len(items) for _kind, items in _plan_execution_units(pending)] == [30]
-    assert [len(items) for _kind, items in _plan_execution_units(pending, 1)] == [30]
-    units = _plan_execution_units(pending, 2)
-    assert [(kind, len(items)) for kind, items in units] == [("simbatch", 15)] * 2
-    assert [item for _kind, items in units for item in items] == pending
-    # Shards never drop below MIN_VECTOR_BATCH rows.
-    assert [len(items) for _kind, items in _plan_execution_units(pending, 8)] == [10] * 3
-    serial = run_experiments(spec, backend="serial")
-    sharded = run_experiments(spec, backend="process", workers=2)
-    assert sharded.to_json() == serial.to_json()
-    assert {record.engine for record in sharded.records} == {"vector"}
 
 
 def test_oversized_buckets_chunk_at_the_batch_ceiling():
@@ -278,7 +260,3 @@ def test_long_sequences_stack_fewer_rows_per_pass(monkeypatch):
     monkeypatch.setattr(runner_module, "MAX_VECTOR_CELLS", 30)  # floor: MIN_VECTOR_BATCH rows
     units = _plan_execution_units(_pending(_spec(seeds=tuple(range(24)))))
     assert [len(items) for _kind, items in units] == [MIN_VECTOR_BATCH] * 3
-    # The cap still binds when sharding for parallel workers.
-    monkeypatch.setattr(runner_module, "MAX_VECTOR_CELLS", 30 * 10)
-    units = _plan_execution_units(_pending(_spec(seeds=tuple(range(24)))), 2)
-    assert [len(items) for _kind, items in units] == [10, 10, 4]

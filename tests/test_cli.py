@@ -241,6 +241,23 @@ class TestCommands:
         assert main(command) == 0
         assert "optimal stall" in capsys.readouterr().out
 
+    def test_compare_runs_its_lone_instance_on_the_loop_engine(self, capsys, monkeypatch):
+        import repro.cli as cli_module
+
+        engines = []
+        evaluate = cli_module.evaluate_instances
+
+        def spy(*args, **kwargs):
+            results = evaluate(*args, **kwargs)
+            engines.extend(record.engine for record in results.records)
+            return results
+
+        monkeypatch.setattr(cli_module, "evaluate_instances", spy)
+        assert main(["compare", "-w", "loop:blocks=10,loops=2", "-k", "4", "-F", "3",
+                     "-a", "aggressive,conservative"]) == 0
+        capsys.readouterr()
+        assert engines == ["loop", "loop"]
+
     def test_resume_requires_cache_dir(self, capsys):
         code = main(
             ["sweep", "-w", "zipf:n=30,blocks=8", "-k", "4", "-F", "3",
